@@ -18,9 +18,7 @@ import numpy as np
 from . import qcore
 from .errors import DimensionError, DomainError
 from .montecarlo import run_chunks
-from .rng import SeededStream
-
-DEFAULT_SEED = 0xC0FFEE
+from .rng import DEFAULT_SEED, SeededStream
 
 POINTER_READY = (1.0, 0.0)
 POINTER_FIRED = (0.0, 1.0)

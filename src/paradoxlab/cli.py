@@ -26,10 +26,8 @@ import numpy as np
 from . import __version__, bell, bounds, catlab, lightcone, twoslit, zeno
 from .constants import NATURAL
 from .errors import ConfigError, ParadoxLabError
-from .rng import SeededStream
+from .rng import DEFAULT_SEED, SeededStream
 from .serialize import write_csv, write_json
-
-DEFAULT_SEED = 0xC0FFEE
 
 EXPERIMENTS = ("zeno", "dual-zeno", "bell", "twoslit", "cat", "bounds", "lightcone")
 
@@ -214,6 +212,8 @@ def parse_config(
     formats = tuple(part.strip() for part in str(params["formats"]).split(",") if part.strip())
     if not formats or any(fmt not in ("json", "csv") for fmt in formats):
         raise ConfigError(f"formats must be a subset of json,csv, got '{params['formats']}'")
+    if experiment in ("zeno", "dual-zeno"):
+        _zeno_sweep(params["sweep"])  # reject a bad sweep before the main run
 
     return RunConfig(
         experiment=experiment,
@@ -238,6 +238,14 @@ def _parse_number_list(key: str, raw: str, kind: str) -> list:
             raise ConfigError(f"key '{key}' has a malformed entry '{part}'") from None
     if not values:
         raise ConfigError(f"key '{key}' must list at least one value")
+    return values
+
+
+def _zeno_sweep(raw: str) -> list[int]:
+    values = _parse_number_list("sweep", raw, "int")
+    for n in values:
+        if n < 1:
+            raise ConfigError(f"key 'sweep' entries must be >= 1, got {n}")
     return values
 
 
@@ -290,9 +298,7 @@ def _run_zeno_like(cfg: RunConfig):
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg, NATURAL))
 
     rows = []
-    for n in _parse_number_list("sweep", cfg.params["sweep"], "int"):
-        if n < 1:
-            raise ConfigError(f"sweep entries must be >= 1, got {n}")
+    for n in _zeno_sweep(cfg.params["sweep"]):
         point = runner(replace(zcfg, N=n), NATURAL, threads=cfg.threads)
         rows.append((n, point.analytic_survival, point.empirical_survival, point.stderr))
     csv_name = "dual_zeno_sweep.csv" if dual else "zeno_sweep.csv"

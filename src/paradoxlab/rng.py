@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError
 
 _BLOCK_SHIFT = 192
+DEFAULT_SEED = 0xC0FFEE  # every experiment's seed unless the config names one
 _MAX_SEED = 2**64
 _MAX_TRIAL = 2**64 - 2  # substream i uses counter word i + 1 < 2**64
 _INV_2_53 = 2.0**-53

@@ -5,6 +5,13 @@ intervals; the survival probability (all outcomes +1) follows
 cos(mu*B*T/(N*hbar))**(2N) and approaches 1 as N grows.  The dual
 experiment measures a rotating spin component with no field and obeys the
 same law.
+
+Every factor of that law is the same.  A +1 outcome leaves the spin in the
+same eigenstate each time, and the next interval has the same geometry: T/N
+of precession, or an axis turned by 2*mu*B*(T/N)/hbar from the last one.  So
+the -1 probability of the first measurement holds at every step, and
+``_step_probability`` computes it once with the exact core; the samplers
+compare each trial's N uniforms against that one number.
 """
 
 from __future__ import annotations
@@ -19,9 +26,7 @@ from .bounds import UncertaintyReport, energy_time_product
 from .constants import NATURAL, PhysicalConstants
 from .errors import DomainError
 from .montecarlo import run_chunks
-from .rng import SeededStream
-
-DEFAULT_SEED = 0xC0FFEE
+from .rng import DEFAULT_SEED, SeededStream
 
 
 @dataclass(frozen=True)
@@ -67,50 +72,25 @@ def survival_analytic(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> float:
     return math.cos(theta) ** (2 * cfg.N)
 
 
-def _plus_x_state() -> qcore.StateVector:
-    return qcore.make_state((2,), (1.0, 1.0))
+def _step_probability(cfg: ZenoConfig, k: PhysicalConstants, dual: bool) -> float:
+    """Probability of the -1 outcome at the first measurement, hence at every one.
 
-
-def _branch_probabilities(cfg: ZenoConfig, k: PhysicalConstants) -> np.ndarray:
-    """Per-step probability of the -1 outcome along the all-+1 branch.
-
-    The surviving trajectory is simulated with the generic machinery:
-    evolve for T/N, project Born probabilities on the sigma_x spectrum,
-    collapse onto the +1 eigenspace, repeat.
+    ``zeno`` evolves |+x> for T/N and projects on the sigma_x spectrum;
+    ``dual`` projects |+x> on the x-y axis at angle 2*mu*B*(T/N)/hbar.
     """
     dt = period(cfg, k) / cfg.N
-    observable = qcore.spin_observable(qcore.SpinDirection(1.0, 0.0, 0.0))
-    projectors = qcore.eigen_projectors(observable)
-    p_minus = np.empty(cfg.N)
-    state = _plus_x_state()
-    for step in range(cfg.N):
+    state = qcore.make_state((2,), (1.0, 1.0))
+    if dual:
+        axis = qcore.xy_axis(2.0 * k.mu * cfg.B * dt / k.hbar)
+    else:
+        axis = qcore.SpinDirection(1.0, 0.0, 0.0)
         state = qcore.evolve_spin(state, cfg.B, dt, k)
-        pairs = qcore.born_probabilities(state, projectors)
-        p_minus[step] = pairs[0][1]
-        surviving = projectors[1][1] @ state.amplitudes
-        state = qcore.StateVector((2,), surviving / np.linalg.norm(surviving))
-    return p_minus
-
-
-def _dual_branch_probabilities(cfg: ZenoConfig, k: PhysicalConstants) -> np.ndarray:
-    """Same quantity for the rotating-axis experiment with no field."""
-    dt = period(cfg, k) / cfg.N
-    p_minus = np.empty(cfg.N)
-    state = _plus_x_state()
-    for step in range(cfg.N):
-        t_k = (step + 1) * dt
-        angle = 2.0 * k.mu * cfg.B * t_k / k.hbar
-        observable = qcore.spin_observable(qcore.xy_axis(angle))
-        projectors = qcore.eigen_projectors(observable)
-        pairs = qcore.born_probabilities(state, projectors)
-        p_minus[step] = pairs[0][1]
-        surviving = projectors[1][1] @ state.amplitudes
-        state = qcore.StateVector((2,), surviving / np.linalg.norm(surviving))
-    return p_minus
+    projectors = qcore.eigen_projectors(qcore.spin_observable(axis))
+    return float(qcore.born_probabilities(state, projectors)[0][1])
 
 
 def _sample_survival(
-    p_minus: np.ndarray, trials: int, seed: int, threads: int
+    p_minus: float, steps: int, trials: int, seed: int, threads: int
 ) -> tuple[int, np.ndarray]:
     """Count surviving trials and histogram the first-jump step index.
 
@@ -118,11 +98,9 @@ def _sample_survival(
     chain stops logically at the first -1 outcome.
     """
     stream = SeededStream(seed)
-    steps = len(p_minus)
 
     def worker(lo: int, hi: int) -> tuple[int, np.ndarray]:
-        u = stream.uniform_block(hi - lo, steps, first=lo)
-        jumped = u < p_minus[None, :]
+        jumped = stream.uniform_block(hi - lo, steps, first=lo) < p_minus
         any_jump = jumped.any(axis=1)
         hist = np.bincount(jumped[any_jump].argmax(axis=1), minlength=steps)
         return int((~any_jump).sum()), hist
@@ -133,16 +111,15 @@ def _sample_survival(
     return survived, hist
 
 
-def _result(
-    cfg: ZenoConfig, k: PhysicalConstants, p_minus: np.ndarray, threads: int
-) -> ZenoResult:
-    survived, hist = _sample_survival(p_minus, cfg.trials, cfg.seed, threads)
+def _result(cfg: ZenoConfig, k: PhysicalConstants, dual: bool, threads: int) -> ZenoResult:
+    p_minus = _step_probability(cfg, k, dual)
+    survived, hist = _sample_survival(p_minus, cfg.N, cfg.trials, cfg.seed, threads)
     empirical = survived / cfg.trials
     return ZenoResult(
         analytic_survival=survival_analytic(cfg, k),
         empirical_survival=empirical,
         stderr=math.sqrt(empirical * (1.0 - empirical) / cfg.trials),
-        per_step_probability=1.0 - float(p_minus[0]),
+        per_step_probability=1.0 - p_minus,
         jump_times=tuple(int(c) for c in hist),
     )
 
@@ -151,7 +128,7 @@ def run_zeno(
     cfg: ZenoConfig, k: PhysicalConstants = NATURAL, threads: int = 1
 ) -> ZenoResult:
     """Monte Carlo of N sigma_x measurements on a spin precessing over T."""
-    return _result(cfg, k, _branch_probabilities(cfg, k), threads)
+    return _result(cfg, k, dual=False, threads=threads)
 
 
 def run_dual_zeno(
@@ -163,7 +140,7 @@ def run_dual_zeno(
     consecutive axes differ by 2*mu*B*T/(N*hbar), so the survival law is
     identical to the in-field experiment.
     """
-    return _result(cfg, k, _dual_branch_probabilities(cfg, k), threads)
+    return _result(cfg, k, dual=True, threads=threads)
 
 
 def jump_resolution_report(

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from paradoxlab import zeno
 from paradoxlab.cli import DEFAULT_SEED, main, parse_config, run
 from paradoxlab.errors import ConfigError
 from paradoxlab.serialize import dumps
@@ -52,6 +53,20 @@ class TestParseConfig:
             parse_config(["experiment=zeno", "B=fast"])
         with pytest.raises(ConfigError, match="true or false"):
             parse_config(["experiment=twoslit", "sweep=maybe"])
+
+    @pytest.mark.parametrize("experiment", ["zeno", "dual-zeno"])
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("0", "'sweep' entries must be >= 1, got 0"),
+            ("5,-3", "'sweep' entries must be >= 1, got -3"),
+            ("2,x", "malformed entry 'x'"),
+            (" , ", "at least one value"),
+        ],
+    )
+    def test_bad_sweep_rejected_by_parse_config(self, experiment, sweep, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config([f"experiment={experiment}", f"sweep={sweep}"])
 
     def test_config_text_and_token_precedence(self):
         text = "# comment line\nexperiment=zeno\nN=4\ntrials=500\n"
@@ -232,6 +247,16 @@ class TestMain:
     def test_bad_config_is_exit_two(self, tmp_path, capsys):
         assert main(["zeno", "N=0", "--out", str(tmp_path)]) == 2
         assert "N" in capsys.readouterr().err
+
+    def test_bad_sweep_fails_before_the_main_run(self, tmp_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the main run started before the sweep was checked")
+
+        monkeypatch.setattr(zeno, "run_zeno", forbidden)
+        out = tmp_path / "out"
+        assert main(["zeno", "N=20000", "trials=500", "sweep=0", "--out", str(out)]) == 2
+        assert "sweep" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_seed_reaches_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PARADOX_LAB_SEED", "321")

@@ -18,6 +18,31 @@ def cfg_with(n, trials=1000, seed=101):
     return zeno.ZenoConfig(N=n, trials=trials, seed=seed)
 
 
+def reference_branch_law(cfg, dual, k=NATURAL):
+    """Per-step -1 probability along the all-+1 branch, simulated step by step.
+
+    The surviving trajectory goes through the generic machinery: evolve for
+    T/N (or turn the measurement axis by 2*mu*B*(T/N)/hbar), take the Born
+    probabilities, collapse onto the +1 eigenspace, repeat N times.
+    """
+    dt = zeno.period(cfg, k) / cfg.N
+    sx = qcore.eigen_projectors(qcore.spin_observable(qcore.SpinDirection(1.0, 0.0, 0.0)))
+    p_minus = np.empty(cfg.N)
+    state = qcore.make_state((2,), (1.0, 1.0))
+    for step in range(cfg.N):
+        if dual:
+            t_k = (step + 1) * dt
+            angle = 2.0 * k.mu * cfg.B * t_k / k.hbar
+            projectors = qcore.eigen_projectors(qcore.spin_observable(qcore.xy_axis(angle)))
+        else:
+            state = qcore.evolve_spin(state, cfg.B, dt, k)
+            projectors = sx
+        p_minus[step] = qcore.born_probabilities(state, projectors)[0][1]
+        surviving = projectors[1][1] @ state.amplitudes
+        state = qcore.StateVector((2,), surviving / np.linalg.norm(surviving))
+    return p_minus
+
+
 class TestAnalyticLaw:
     def test_default_duration_sets_quarter_period(self):
         cfg = zeno.ZenoConfig()
@@ -99,6 +124,43 @@ class TestRunZeno:
         explicit = np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / math.sqrt(2.0)
         target = qcore.StateVector((2,), explicit)
         assert abs(abs(qcore.overlap(target, pre)) - 1.0) <= 1e-12
+
+
+class TestStepLaw:
+    @pytest.mark.parametrize("dual", [False, True], ids=["zeno", "dual-zeno"])
+    @pytest.mark.parametrize("field", [{}, {"B": 2.5, "T": 0.7}], ids=["default", "B2.5-T0.7"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
+    def test_every_step_matches_the_first(self, n, field, dual):
+        # the post-measurement state repeats, so one step fixes the whole branch
+        cfg = zeno.ZenoConfig(N=n, trials=1, **field)
+        p_minus = zeno._step_probability(cfg, NATURAL, dual)
+        reference = reference_branch_law(cfg, dual)
+        assert np.max(np.abs(reference - p_minus)) <= 4 * 2.0**-53
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["zeno", "dual-zeno"])
+    def test_first_step_is_the_reference_bit_for_bit(self, dual):
+        cfg = zeno.ZenoConfig(N=9, B=1.3, T=2.0, trials=1)
+        p_minus = zeno._step_probability(cfg, NATURAL, dual)
+        assert p_minus == reference_branch_law(cfg, dual)[0]
+        runner = zeno.run_dual_zeno if dual else zeno.run_zeno
+        assert runner(cfg).per_step_probability == 1.0 - p_minus
+
+    @pytest.mark.parametrize("runner", [zeno.run_zeno, zeno.run_dual_zeno])
+    def test_core_work_does_not_grow_with_n(self, runner, monkeypatch):
+        calls = []
+        born = qcore.born_probabilities
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return born(*args, **kwargs)
+
+        monkeypatch.setattr(qcore, "born_probabilities", counting)
+        counts = []
+        for n in (10, 10000):
+            calls.clear()
+            runner(cfg_with(n, trials=4))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 1
 
 
 class TestDualZeno:
