@@ -157,7 +157,6 @@ def _sample_counts(
     stream: SeededStream,
     n: int,
     first: int,
-    threads: int,
 ) -> dict[tuple[int, int], int]:
     """Tally ``n`` sequential-collapse samples using per-trial substreams.
 
@@ -182,7 +181,7 @@ def _sample_counts(
         cells[3] = int(np.sum(~a_minus & ~b_minus))
         return cells
 
-    totals = np.sum(run_chunks(n, worker, threads), axis=0)
+    totals = np.sum(run_chunks(n, worker), axis=0)
     return {
         (-1, -1): int(totals[0]),
         (-1, 1): int(totals[1]),
@@ -196,7 +195,6 @@ def chsh(
     settings: ChshSettings,
     trials: int,
     rng: SeededStream,
-    threads: int = 1,
 ) -> ChshResult:
     """S = E(a,b) + E(a',b) + E(a',b') - E(a,b'), exact and estimated.
 
@@ -219,9 +217,7 @@ def chsh(
     counts: dict[str, dict[str, int]] = {}
     for index, (label, sa, sb, sign) in enumerate(pairs):
         exact.append(correlation(state, sa, sb))
-        tally = _sample_counts(
-            state, sa, sb, rng, per_pair, first=index * per_pair, threads=threads
-        )
+        tally = _sample_counts(state, sa, sb, rng, per_pair, first=index * per_pair)
         agree = tally[(1, 1)] + tally[(-1, -1)]
         disagree = tally[(1, -1)] + tally[(-1, 1)]
         estimate = (agree - disagree) / per_pair

@@ -18,7 +18,7 @@ import numpy as np
 from . import qcore
 from .errors import DimensionError, DomainError
 from .montecarlo import run_chunks
-from .rng import DEFAULT_SEED, SeededStream
+from .rng import DEFAULT_SEED, SeededStream, check_seed
 
 POINTER_READY = (1.0, 0.0)
 POINTER_FIRED = (0.0, 1.0)
@@ -42,8 +42,7 @@ class ChainConfig:
             )
         if self.trials < 0:
             raise DomainError(f"trials must be nonnegative, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 class BornStats(NamedTuple):
@@ -93,14 +92,14 @@ def _initial_chain_state(cfg: ChainConfig) -> qcore.StateVector:
     return state
 
 
-def run_chain(cfg: ChainConfig, threads: int = 1) -> ChainResult:
+def run_chain(cfg: ChainConfig) -> ChainResult:
     """Apply the premeasurement unitary and report entanglement diagnostics."""
     initial = _initial_chain_state(cfg)
     coupling = premeasurement_unitary(cfg.n_devices + 1)
     final = qcore.apply(coupling, initial)
     dm = qcore.density(final)
     reduced = qcore.partial_trace(dm, final.dims, keep=(0,))
-    born = born_statistics(cfg, threads) if cfg.trials > 0 else None
+    born = born_statistics(cfg) if cfg.trials > 0 else None
     return ChainResult(
         final_state=final,
         global_purity=qcore.purity(dm),
@@ -111,7 +110,7 @@ def run_chain(cfg: ChainConfig, threads: int = 1) -> ChainResult:
     )
 
 
-def born_statistics(cfg: ChainConfig, threads: int = 1) -> BornStats:
+def born_statistics(cfg: ChainConfig) -> BornStats:
     """Monte Carlo spin-z measurements on fresh copies of the atom state.
 
     Each trial draws one uniform from substream (seed, trial) and compares
@@ -130,7 +129,7 @@ def born_statistics(cfg: ChainConfig, threads: int = 1) -> BornStats:
         u = stream.uniform_block(hi - lo, 1, first=lo)
         return int(np.sum(u[:, 0] >= p_down))
 
-    ups = sum(run_chunks(cfg.trials, worker, threads))
+    ups = sum(run_chunks(cfg.trials, worker))
     f_up = ups / cfg.trials
     return BornStats(
         f_up=f_up,

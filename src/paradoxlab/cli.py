@@ -6,8 +6,11 @@ Configs are flat typed key=value pairs, accepted both as command-line
 tokens and as lines of a config file (tokens override the file).  Every
 run is seeded (default 0xC0FFEE, overridable by the PARADOX_LAB_SEED
 environment variable) and writes result.json plus CSV data series;
-identical config and seed produce byte-identical output regardless of the
-thread count.
+identical config and seed produce byte-identical output.
+
+Each experiment is one entry of ``EXPERIMENTS``: its keys, its runner and a
+check across keys.  ``parse_config`` applies the keys and the check, so a bad
+config exits 2 before any work starts; an error during the run exits 1.
 """
 
 from __future__ import annotations
@@ -19,17 +22,15 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__, bell, bounds, catlab, lightcone, twoslit, zeno
 from .constants import NATURAL
 from .errors import ConfigError, ParadoxLabError
-from .rng import DEFAULT_SEED, SeededStream
+from .rng import DEFAULT_SEED, MAX_SEED, SeededStream
 from .serialize import write_csv, write_json
-
-EXPERIMENTS = ("zeno", "dual-zeno", "bell", "twoslit", "cat", "bounds", "lightcone")
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -46,8 +47,7 @@ class _KeySpec:
 
 
 _COMMON = {
-    "seed": _KeySpec("int", DEFAULT_SEED, minimum=0, maximum=2**64 - 1),
-    "threads": _KeySpec("int", 1, minimum=1),
+    "seed": _KeySpec("int", DEFAULT_SEED, minimum=0, maximum=MAX_SEED),
     "formats": _KeySpec("str", "json,csv"),
 }
 
@@ -59,52 +59,52 @@ _ZENO_KEYS = {
     "sweep": _KeySpec("str", "1,2,5,10,50"),
 }
 
-_SCHEMAS: dict[str, dict[str, _KeySpec]] = {
-    "zeno": _ZENO_KEYS,
-    "dual-zeno": _ZENO_KEYS,
-    "bell": {
-        "trials": _KeySpec("int", 100000, minimum=1),
-        "theta_a": _KeySpec("float", 0.0),
-        "theta_a_prime": _KeySpec("float", math.pi / 2.0),
-        "theta_b": _KeySpec("float", math.pi / 4.0),
-        "theta_b_prime": _KeySpec("float", 3.0 * math.pi / 4.0),
-    },
-    "twoslit": {
-        "wavelength": _KeySpec("float", 1.0, strictly_positive=True),
-        "slit_separation": _KeySpec("float", 2.0, strictly_positive=True),
-        "screen_distance": _KeySpec("float", 100.0, strictly_positive=True),
-        "delta_p_s": _KeySpec("float", None, strictly_positive=True),
-        "grid": _KeySpec("int", 2048, minimum=64),
-        "span_fringes": _KeySpec("float", 8.0, minimum=4.0),
-        "sweep": _KeySpec("bool", True),
-    },
-    "cat": {
-        "alpha_re": _KeySpec("float", _INV_SQRT2),
-        "alpha_im": _KeySpec("float", 0.0),
-        "beta_re": _KeySpec("float", _INV_SQRT2),
-        "beta_im": _KeySpec("float", 0.0),
-        "n_devices": _KeySpec("int", 1, minimum=1, maximum=3),
-        "trials": _KeySpec("int", 100000, minimum=0),
-    },
-    "bounds": {
-        "t_min": _KeySpec("float", 0.1, strictly_positive=True),
-        "t_max": _KeySpec("float", 100.0, strictly_positive=True),
-        "points": _KeySpec("int", 25, minimum=2),
-        "delta_e": _KeySpec("float", None, minimum=0.0),
-        "delta_t": _KeySpec("float", None, minimum=0.0),
-    },
-    "lightcone": {
-        "a_t": _KeySpec("float", 5.0),
-        "a_x": _KeySpec("float", -3.0),
-        "b_t": _KeySpec("float", 5.0),
-        "b_x": _KeySpec("float", 3.0),
-        "velocities": _KeySpec("str", "-0.9,-0.5,0,0.5,0.9"),
-        "grid_t_min": _KeySpec("float", -1.0),
-        "grid_t_max": _KeySpec("float", 6.0),
-        "grid_x_min": _KeySpec("float", -6.0),
-        "grid_x_max": _KeySpec("float", 6.0),
-        "grid_step": _KeySpec("float", 0.25, strictly_positive=True),
-    },
+_BELL_KEYS = {
+    "trials": _KeySpec("int", 100000, minimum=1),
+    "theta_a": _KeySpec("float", 0.0),
+    "theta_a_prime": _KeySpec("float", math.pi / 2.0),
+    "theta_b": _KeySpec("float", math.pi / 4.0),
+    "theta_b_prime": _KeySpec("float", 3.0 * math.pi / 4.0),
+}
+
+_TWOSLIT_KEYS = {
+    "wavelength": _KeySpec("float", 1.0, strictly_positive=True),
+    "slit_separation": _KeySpec("float", 2.0, strictly_positive=True),
+    "screen_distance": _KeySpec("float", 100.0, strictly_positive=True),
+    "delta_p_s": _KeySpec("float", None, strictly_positive=True),
+    "grid": _KeySpec("int", 2048, minimum=64),
+    "span_fringes": _KeySpec("float", 8.0, minimum=4.0),
+    "sweep": _KeySpec("bool", True),
+}
+
+_CAT_KEYS = {
+    "alpha_re": _KeySpec("float", _INV_SQRT2),
+    "alpha_im": _KeySpec("float", 0.0),
+    "beta_re": _KeySpec("float", _INV_SQRT2),
+    "beta_im": _KeySpec("float", 0.0),
+    "n_devices": _KeySpec("int", 1, minimum=1, maximum=3),
+    "trials": _KeySpec("int", 100000, minimum=0),
+}
+
+_BOUNDS_KEYS = {
+    "t_min": _KeySpec("float", 0.1, strictly_positive=True),
+    "t_max": _KeySpec("float", 100.0, strictly_positive=True),
+    "points": _KeySpec("int", 25, minimum=2),
+    "delta_e": _KeySpec("float", None, minimum=0.0),
+    "delta_t": _KeySpec("float", None, minimum=0.0),
+}
+
+_LIGHTCONE_KEYS = {
+    "a_t": _KeySpec("float", 5.0),
+    "a_x": _KeySpec("float", -3.0),
+    "b_t": _KeySpec("float", 5.0),
+    "b_x": _KeySpec("float", 3.0),
+    "velocities": _KeySpec("str", "-0.9,-0.5,0,0.5,0.9"),
+    "grid_t_min": _KeySpec("float", -1.0),
+    "grid_t_max": _KeySpec("float", 6.0),
+    "grid_x_min": _KeySpec("float", -6.0),
+    "grid_x_max": _KeySpec("float", 6.0),
+    "grid_step": _KeySpec("float", 0.25, strictly_positive=True),
 }
 
 
@@ -116,7 +116,6 @@ class RunConfig:
     params: dict[str, Any]
     output_dir: Path
     formats: tuple[str, ...]
-    threads: int
 
 
 def _convert(key: str, spec: _KeySpec, raw: str):
@@ -174,8 +173,8 @@ def parse_config(
     """Validate a flat key=value config into a RunConfig.
 
     ``tokens`` are command-line `key=value` strings and override entries
-    from the config ``text``.  Unknown keys and type mismatches raise
-    ConfigError.
+    from the config ``text``.  Unknown keys, type mismatches and values the
+    experiment's check rejects raise ConfigError.
     """
     raw: dict[str, str] = {}
     if text is not None:
@@ -195,8 +194,7 @@ def parse_config(
         raise ConfigError(
             f"unknown experiment '{experiment}', expected one of {', '.join(EXPERIMENTS)}"
         )
-    schema = dict(_COMMON)
-    schema.update(_SCHEMAS[experiment])
+    schema = {**_COMMON, **EXPERIMENTS[experiment].keys}
 
     params: dict[str, Any] = {}
     for key, value in raw.items():
@@ -212,8 +210,7 @@ def parse_config(
     formats = tuple(part.strip() for part in str(params["formats"]).split(",") if part.strip())
     if not formats or any(fmt not in ("json", "csv") for fmt in formats):
         raise ConfigError(f"formats must be a subset of json,csv, got '{params['formats']}'")
-    if experiment in ("zeno", "dual-zeno"):
-        _zeno_sweep(params["sweep"])  # reject a bad sweep before the main run
+    EXPERIMENTS[experiment].check(params)
 
     return RunConfig(
         experiment=experiment,
@@ -222,7 +219,6 @@ def parse_config(
         params=params,
         output_dir=Path(output_dir),
         formats=formats,
-        threads=params["threads"],
     )
 
 
@@ -241,18 +237,12 @@ def _parse_number_list(key: str, raw: str, kind: str) -> list:
     return values
 
 
-def _zeno_sweep(raw: str) -> list[int]:
-    values = _parse_number_list("sweep", raw, "int")
+def _zeno_sweep(params: dict) -> list[int]:
+    values = _parse_number_list("sweep", params["sweep"], "int")
     for n in values:
         if n < 1:
             raise ConfigError(f"key 'sweep' entries must be >= 1, got {n}")
     return values
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    # threads, formats and the output directory must not influence result bytes
-    skip = {"threads", "formats"}
-    return {k: v for k, v in cfg.params.items() if k not in skip}
 
 
 def _base_record(cfg: RunConfig) -> dict:
@@ -260,7 +250,8 @@ def _base_record(cfg: RunConfig) -> dict:
         "experiment": cfg.experiment,
         "version": __version__,
         "seed": cfg.seed,
-        "config": _config_echo(cfg),
+        # formats and the output directory must not influence result bytes
+        "config": {k: v for k, v in cfg.params.items() if k != "formats"},
     }
 
 
@@ -285,7 +276,7 @@ def _run_zeno_like(cfg: RunConfig):
         trials=cfg.params["trials"],
         seed=cfg.seed,
     )
-    result = runner(zcfg, NATURAL, threads=cfg.threads)
+    result = runner(zcfg, NATURAL)
     record = _base_record(cfg)
     record["duration"] = zeno.period(zcfg, NATURAL)
     record["result"] = {
@@ -298,8 +289,8 @@ def _run_zeno_like(cfg: RunConfig):
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg, NATURAL))
 
     rows = []
-    for n in _zeno_sweep(cfg.params["sweep"]):
-        point = runner(replace(zcfg, N=n), NATURAL, threads=cfg.threads)
+    for n in _zeno_sweep(cfg.params):
+        point = runner(replace(zcfg, N=n), NATURAL)
         rows.append((n, point.analytic_survival, point.empirical_survival, point.stderr))
     csv_name = "dual_zeno_sweep.csv" if dual else "zeno_sweep.csv"
     return record, [(csv_name, ("N", "analytic", "empirical", "stderr"), rows)]
@@ -312,9 +303,7 @@ def _run_bell(cfg: RunConfig):
         cfg.params["theta_b"],
         cfg.params["theta_b_prime"],
     )
-    result = bell.chsh(
-        bell.singlet(), settings, cfg.trials, SeededStream(cfg.seed), threads=cfg.threads
-    )
+    result = bell.chsh(bell.singlet(), settings, cfg.trials, SeededStream(cfg.seed))
     labels = ("ab", "apb", "apbp", "abp")
     record = _base_record(cfg)
     record["result"] = {
@@ -385,18 +374,18 @@ def _run_twoslit(cfg: RunConfig):
     return record, csvs
 
 
-def _normalized_pair(cfg: RunConfig) -> tuple[complex, complex]:
-    alpha = complex(cfg.params["alpha_re"], cfg.params["alpha_im"])
-    beta = complex(cfg.params["beta_re"], cfg.params["beta_im"])
+def _normalized_pair(params: dict) -> tuple[complex, complex]:
+    alpha = complex(params["alpha_re"], params["alpha_im"])
+    beta = complex(params["beta_re"], params["beta_im"])
     weight = abs(alpha) ** 2 + abs(beta) ** 2
     if weight == 0.0:
-        raise ConfigError("alpha and beta cannot both be zero")
+        raise ConfigError("keys alpha_re, alpha_im, beta_re and beta_im cannot all be zero")
     scale = 1.0 / math.sqrt(weight)
     return alpha * scale, beta * scale
 
 
 def _run_cat(cfg: RunConfig):
-    alpha, beta = _normalized_pair(cfg)
+    alpha, beta = _normalized_pair(cfg.params)
     chain_cfg = catlab.ChainConfig(
         alpha=alpha,
         beta=beta,
@@ -404,7 +393,7 @@ def _run_cat(cfg: RunConfig):
         trials=cfg.trials,
         seed=cfg.seed,
     )
-    result = catlab.run_chain(chain_cfg, threads=cfg.threads)
+    result = catlab.run_chain(chain_cfg)
     record = _base_record(cfg)
     amplitudes = [[amp.real, amp.imag] for amp in result.final_state.amplitudes.tolist()]
     born = None
@@ -436,17 +425,22 @@ def _run_cat(cfg: RunConfig):
                 trials=cfg.trials,
                 seed=(cfg.seed + index) % 2**64,
             )
-            stats = catlab.born_statistics(row_cfg, threads=cfg.threads)
+            stats = catlab.born_statistics(row_cfg)
             rows.append((weight, stats.f_up, stats.f_down, stats.stderr))
         csvs.append(("cat_born_vs_weight.csv", ("up_weight", "f_up", "f_down", "stderr"), rows))
     return record, csvs
 
 
+def _check_bounds(params: dict) -> None:
+    if params["t_max"] <= params["t_min"]:
+        raise ConfigError(f"t_max must exceed t_min, got {params['t_min']}..{params['t_max']}")
+    if (params["delta_e"] is None) != (params["delta_t"] is None):
+        raise ConfigError("delta_e and delta_t must be given together")
+
+
 def _run_bounds(cfg: RunConfig):
     t_min = cfg.params["t_min"]
     t_max = cfg.params["t_max"]
-    if t_max <= t_min:
-        raise ConfigError(f"t_max must exceed t_min, got {t_min}..{t_max}")
     durations = np.geomspace(t_min, t_max, cfg.params["points"])
     rows = [(float(t), bounds.landau_peierls_min(float(t), NATURAL)) for t in durations]
 
@@ -460,14 +454,20 @@ def _run_bounds(cfg: RunConfig):
     }
     delta_e = cfg.params["delta_e"]
     delta_t = cfg.params["delta_t"]
-    if (delta_e is None) != (delta_t is None):
-        raise ConfigError("delta_e and delta_t must be given together")
     if delta_e is not None:
         report = bounds.energy_time_product(delta_e, delta_t, NATURAL)
         record["result"]["energy_time"] = _uncertainty_dict(report)
     return record, [
         ("bounds_landau_peierls.csv", ("duration", "min_field_uncertainty"), rows)
     ]
+
+
+def _check_lightcone(params: dict) -> None:
+    _parse_number_list("velocities", params["velocities"], "float")
+    for axis in ("t", "x"):
+        lo, hi = params[f"grid_{axis}_min"], params[f"grid_{axis}_max"]
+        if hi <= lo:
+            raise ConfigError(f"grid_{axis}_max must exceed grid_{axis}_min, got {lo}..{hi}")
 
 
 def _run_lightcone(cfg: RunConfig):
@@ -492,8 +492,6 @@ def _run_lightcone(cfg: RunConfig):
     step = cfg.params["grid_step"]
     t_lo, t_hi = cfg.params["grid_t_min"], cfg.params["grid_t_max"]
     x_lo, x_hi = cfg.params["grid_x_min"], cfg.params["grid_x_max"]
-    if t_hi <= t_lo or x_hi <= x_lo:
-        raise ConfigError("grid bounds must satisfy min < max")
     n_t = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
     n_x = int(math.floor((x_hi - x_lo) / step + 1e-9)) + 1
     rows = []
@@ -506,21 +504,29 @@ def _run_lightcone(cfg: RunConfig):
     return record, [("lightcone_region.csv", ("t", "x", "allowed"), rows)]
 
 
-_RUNNERS = {
-    "zeno": _run_zeno_like,
-    "dual-zeno": _run_zeno_like,
-    "bell": _run_bell,
-    "twoslit": _run_twoslit,
-    "cat": _run_cat,
-    "bounds": _run_bounds,
-    "lightcone": _run_lightcone,
+@dataclass(frozen=True)
+class _Experiment:
+    keys: dict[str, _KeySpec]
+    run: Callable[[RunConfig], tuple[dict, list]]  # -> (result record, CSV tables)
+    # raises ConfigError on converted values that do not fit together
+    check: Callable[[dict], Any] = lambda params: None
+
+
+EXPERIMENTS: dict[str, _Experiment] = {
+    "zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _zeno_sweep),
+    "dual-zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _zeno_sweep),
+    "bell": _Experiment(_BELL_KEYS, _run_bell),
+    "twoslit": _Experiment(_TWOSLIT_KEYS, _run_twoslit),
+    "cat": _Experiment(_CAT_KEYS, _run_cat, _normalized_pair),
+    "bounds": _Experiment(_BOUNDS_KEYS, _run_bounds, _check_bounds),
+    "lightcone": _Experiment(_LIGHTCONE_KEYS, _run_lightcone, _check_lightcone),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its outputs."""
     try:
-        record, csvs = _RUNNERS[cfg.experiment](cfg)
+        record, csvs = EXPERIMENTS[cfg.experiment].run(cfg)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         if "json" in cfg.formats:
             write_json(cfg.output_dir / "result.json", record)

@@ -1,8 +1,7 @@
-"""Chunked trial execution with thread-count-independent results."""
+"""Trial execution in fixed-size chunks, which bounds each worker's memory."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 from .errors import DomainError
@@ -17,16 +16,12 @@ def run_chunks(
 ) -> list[T]:
     """Run ``worker(lo, hi)`` over fixed-size index chunks, in index order.
 
-    The chunking is independent of ``threads``, and workers must be pure
-    functions of the index range, so the combined result is identical for
-    any thread count.
+    ``threads`` exists only because the benchmark's layer tracer
+    (``bench/spans.py``) passes it through; it accepts only 1, and a later
+    change to the benchmark can drop it.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    ranges = [
-        (lo, min(lo + CHUNK_SIZE, n_trials)) for lo in range(0, n_trials, CHUNK_SIZE)
+    if threads != 1:
+        raise DomainError(f"threads must be 1, got {threads}")
+    return [
+        worker(lo, min(lo + CHUNK_SIZE, n_trials)) for lo in range(0, n_trials, CHUNK_SIZE)
     ]
-    if threads == 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: worker(*r), ranges))

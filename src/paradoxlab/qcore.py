@@ -46,6 +46,11 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _check_hermitian(mat: np.ndarray, what: str = "operator"):
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        raise HermiticityError(f"{what} is not Hermitian")
+
+
 @dataclass(frozen=True)
 class SpinDirection:
     """Unit vector fixing a spin measurement axis."""
@@ -141,8 +146,8 @@ class Operator:
             raise DimensionError(f"operator must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
             raise NumericalError("operator entries must be finite")
-        if self.hermitian and np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise HermiticityError("hermitian flag set but matrix is not Hermitian")
+        if self.hermitian:
+            _check_hermitian(mat, "operator flagged hermitian")
         if self.unitary:
             defect = mat @ mat.conj().T - np.eye(mat.shape[0])
             if np.max(np.abs(defect)) > UNITARY_TOL:
@@ -161,11 +166,6 @@ def spin_observable(n: SpinDirection) -> Operator:
     """Spin component along ``n``: nx*sx + ny*sy + nz*sz, eigenvalues +-1."""
     mat = n.nx * PAULI_X + n.ny * PAULI_Y + n.nz * PAULI_Z
     return Operator(mat, hermitian=True)
-
-
-def _check_hermitian(mat: np.ndarray):
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-        raise HermiticityError("operator is not Hermitian")
 
 
 def evolve_spin(
@@ -316,8 +316,7 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"density matrix must be square, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise HermiticityError("density matrix is not Hermitian")
+        _check_hermitian(mat, "density matrix")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > 1e-12:
             raise NumericalError(f"density matrix trace {trace} is not 1")

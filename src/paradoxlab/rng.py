@@ -2,13 +2,14 @@
 
 Every Monte Carlo trial draws from a substream determined only by
 (master seed, trial index), so results do not depend on execution order or
-thread count.  Streams are backed by numpy's Philox4x64-10 counter-based
-generator with key words ``(seed, 0)``.  Substream ``i`` owns the counter
-block starting at ``(i + 1) << 192``, giving each trial 2**192 counter steps
-of private room: its ``k``-th group of four draws is the Philox output for
-the counter words ``(k + 1, 0, 0, i + 1)``, lowest word first.  A trial index
-is therefore at most ``2**64 - 2``; larger ones would wrap onto another
-trial's block, or onto the master stream, and are rejected.
+on how the trials are split into chunks.  Streams are backed by numpy's
+Philox4x64-10 counter-based generator with key words ``(seed, 0)``, where the
+seed is an unsigned 64-bit integer (``check_seed``).  Substream ``i`` owns the
+counter block starting at ``(i + 1) << 192``, giving each trial 2**192
+counter steps of private room: its ``k``-th group of four draws is the Philox
+output for the counter words ``(k + 1, 0, 0, i + 1)``, lowest word first.  A
+trial index is therefore at most ``2**64 - 2``; larger ones would wrap onto
+another trial's block, or onto the master stream, and are rejected.
 
 ``SeededStream.uniform_block`` evaluates many substreams at once.  Short rows
 go through a numpy Philox evaluated for the whole (trial, step) counter grid,
@@ -26,7 +27,7 @@ from .errors import DomainError
 
 _BLOCK_SHIFT = 192
 DEFAULT_SEED = 0xC0FFEE  # every experiment's seed unless the config names one
-_MAX_SEED = 2**64
+MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers, the first Philox key word
 _MAX_TRIAL = 2**64 - 2  # substream i uses counter word i + 1 < 2**64
 _INV_2_53 = 2.0**-53
 # Rows of at most this many draws use the counter-grid kernel; longer rows use
@@ -42,6 +43,13 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed``, or raise DomainError unless it is in 0..MAX_SEED."""
+    if not 0 <= seed <= MAX_SEED:
+        raise DomainError(f"seed must be an unsigned 64-bit integer <= {MAX_SEED}, got {seed}")
+    return seed
 
 
 def _check_trial(name: str, index: int) -> None:
@@ -124,13 +132,10 @@ class SeededStream:
     """Seeded Philox stream; ``substream(i)`` is a pure function of (seed, i)."""
 
     def __init__(self, seed: int, _block: int = 0):
-        seed = int(seed)
-        if not 0 <= seed < _MAX_SEED:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self.seed = seed
+        self.seed = check_seed(int(seed))
         self._block = int(_block)
         self._gen = np.random.Generator(
-            np.random.Philox(key=seed, counter=self._block << _BLOCK_SHIFT)
+            np.random.Philox(key=self.seed, counter=self._block << _BLOCK_SHIFT)
         )
 
     def substream(self, index: int) -> "SeededStream":

@@ -26,7 +26,7 @@ from .bounds import UncertaintyReport, energy_time_product
 from .constants import NATURAL, PhysicalConstants
 from .errors import DomainError
 from .montecarlo import run_chunks
-from .rng import DEFAULT_SEED, SeededStream
+from .rng import DEFAULT_SEED, SeededStream, check_seed
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class ZenoConfig:
             raise DomainError(f"measurement count must be >= 1, got {self.N}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def _step_probability(cfg: ZenoConfig, k: PhysicalConstants, dual: bool) -> floa
 
 
 def _sample_survival(
-    p_minus: float, steps: int, trials: int, seed: int, threads: int
+    p_minus: float, steps: int, trials: int, seed: int
 ) -> tuple[int, np.ndarray]:
     """Count surviving trials and histogram the first-jump step index.
 
@@ -105,15 +104,15 @@ def _sample_survival(
         hist = np.bincount(jumped[any_jump].argmax(axis=1), minlength=steps)
         return int((~any_jump).sum()), hist
 
-    parts = run_chunks(trials, worker, threads)
+    parts = run_chunks(trials, worker)
     survived = sum(p[0] for p in parts)
     hist = np.sum([p[1] for p in parts], axis=0)
     return survived, hist
 
 
-def _result(cfg: ZenoConfig, k: PhysicalConstants, dual: bool, threads: int) -> ZenoResult:
+def _result(cfg: ZenoConfig, k: PhysicalConstants, dual: bool) -> ZenoResult:
     p_minus = _step_probability(cfg, k, dual)
-    survived, hist = _sample_survival(p_minus, cfg.N, cfg.trials, cfg.seed, threads)
+    survived, hist = _sample_survival(p_minus, cfg.N, cfg.trials, cfg.seed)
     empirical = survived / cfg.trials
     return ZenoResult(
         analytic_survival=survival_analytic(cfg, k),
@@ -124,23 +123,19 @@ def _result(cfg: ZenoConfig, k: PhysicalConstants, dual: bool, threads: int) -> 
     )
 
 
-def run_zeno(
-    cfg: ZenoConfig, k: PhysicalConstants = NATURAL, threads: int = 1
-) -> ZenoResult:
+def run_zeno(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> ZenoResult:
     """Monte Carlo of N sigma_x measurements on a spin precessing over T."""
-    return _result(cfg, k, dual=False, threads=threads)
+    return _result(cfg, k, dual=False)
 
 
-def run_dual_zeno(
-    cfg: ZenoConfig, k: PhysicalConstants = NATURAL, threads: int = 1
-) -> ZenoResult:
+def run_dual_zeno(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> ZenoResult:
     """Monte Carlo of N rotating-axis measurements with H = 0.
 
     The axis at step k points at angle 2*mu*B*t_k/hbar in the x-y plane;
     consecutive axes differ by 2*mu*B*T/(N*hbar), so the survival law is
     identical to the in-field experiment.
     """
-    return _result(cfg, k, dual=True, threads=threads)
+    return _result(cfg, k, dual=True)
 
 
 def jump_resolution_report(

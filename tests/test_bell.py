@@ -142,9 +142,7 @@ class TestSamplePair:
         a = bell.MeasurementSetting(0.0)
         b = bell.MeasurementSetting(math.pi / 4)
         trials = 100000
-        counts = bell._sample_counts(
-            state, a, b, SeededStream(17), trials, first=0, threads=1
-        )
+        counts = bell._sample_counts(state, a, b, SeededStream(17), trials, first=0)
         joint = bell.joint_probabilities(state, a, b)
         chi2 = sum(
             (counts[key] - joint[key] * trials) ** 2 / (joint[key] * trials)
@@ -229,10 +227,10 @@ class TestNoSignalling:
         a = bell.MeasurementSetting(0.6)
         trials = 100000
         counts_near = bell._sample_counts(
-            state, a, bell.MeasurementSetting(0.0), SeededStream(41), trials, 0, 1
+            state, a, bell.MeasurementSetting(0.0), SeededStream(41), trials, 0
         )
         counts_far = bell._sample_counts(
-            state, a, bell.MeasurementSetting(2.0), SeededStream(43), trials, 0, 1
+            state, a, bell.MeasurementSetting(2.0), SeededStream(43), trials, 0
         )
         up_near = counts_near[(1, -1)] + counts_near[(1, 1)]
         up_far = counts_far[(1, -1)] + counts_far[(1, 1)]

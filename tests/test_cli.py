@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from paradoxlab import zeno
+from paradoxlab import cli, zeno
 from paradoxlab.cli import DEFAULT_SEED, main, parse_config, run
 from paradoxlab.errors import ConfigError
 from paradoxlab.serialize import dumps
@@ -28,7 +29,6 @@ class TestParseConfig:
         assert cfg.seed == DEFAULT_SEED == 0xC0FFEE
         assert cfg.params["N"] == 10
         assert cfg.formats == ("json", "csv")
-        assert cfg.threads == 1
 
     def test_invariant_rejected(self):
         with pytest.raises(ConfigError):
@@ -105,17 +105,17 @@ class TestRunDeterminism:
             ["experiment=cat", "trials=3000", "n_devices=2"],
         ],
     )
-    def test_identical_bytes_across_runs_and_threads(self, tmp_path, tokens):
+    def test_identical_bytes_across_runs(self, tmp_path, tokens):
         outputs = []
-        for name, extra in (("one", []), ("two", []), ("threaded", ["threads=3"])):
-            cfg = parse_config(tokens + extra, output_dir=tmp_path / name)
+        for name in ("one", "two"):
+            cfg = parse_config(tokens, output_dir=tmp_path / name)
             assert run(cfg) == 0
             per_run = {
                 path.name: path.read_bytes()
                 for path in sorted((tmp_path / name).iterdir())
             }
             outputs.append(per_run)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_seed_changes_output(self, tmp_path):
         blobs = []
@@ -221,11 +221,9 @@ class TestAllExperiments:
         assert (tmp_path / "result.json").exists()
 
     def test_runner_error_is_exit_one(self, tmp_path, capsys):
-        cfg = parse_config(
-            ["experiment=bounds", "t_min=5", "t_max=1"], output_dir=tmp_path
-        )
+        cfg = parse_config(["experiment=lightcone", "velocities=1.5"], output_dir=tmp_path)
         assert run(cfg) == 1
-        assert "t_max" in capsys.readouterr().err
+        assert "v = 1.5" in capsys.readouterr().err
 
 
 class TestMain:
@@ -256,6 +254,38 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["zeno", "N=20000", "trials=500", "sweep=0", "--out", str(out)]) == 2
         assert "sweep" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "tokens, key",
+        [
+            pytest.param(["dual-zeno", "sweep=2,0"], "sweep", id="zeno-sweep"),
+            pytest.param(["bounds", "t_min=5", "t_max=1"], "t_max", id="bounds-t-order"),
+            pytest.param(["bounds", "delta_e=2"], "delta_t", id="bounds-delta-pair"),
+            pytest.param(["cat", "alpha_re=0", "beta_re=0"], "alpha_re", id="cat-zero"),
+            pytest.param(
+                ["lightcone", "grid_t_min=3", "grid_t_max=3"], "grid_t_max", id="lightcone-grid-t"
+            ),
+            pytest.param(
+                ["lightcone", "grid_x_min=2", "grid_x_max=-2"], "grid_x_max", id="lightcone-grid-x"
+            ),
+            pytest.param(["lightcone", "velocities=0.5,fast"], "velocities", id="lightcone-v"),
+            pytest.param(["bell", "threads=2"], "threads", id="threads-unknown"),
+        ],
+    )
+    def test_config_error_is_exit_two_before_any_work(
+        self, tmp_path, monkeypatch, capsys, tokens, key
+    ):
+        def forbidden(cfg):
+            raise AssertionError("the runner started on a config that parse_config rejects")
+
+        experiment = tokens[0]
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, experiment, replace(cli.EXPERIMENTS[experiment], run=forbidden)
+        )
+        out = tmp_path / "out"
+        assert main([*tokens, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_seed_reaches_output(self, tmp_path, monkeypatch):
