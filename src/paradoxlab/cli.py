@@ -288,12 +288,16 @@ def _run_zeno_like(cfg: RunConfig):
     }
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg, NATURAL))
 
-    rows = []
-    for n in _zeno_sweep(cfg.params):
-        point = runner(replace(zcfg, N=n), NATURAL)
-        rows.append((n, point.analytic_survival, point.empirical_survival, point.stderr))
+    sweep = _zeno_sweep(cfg.params)
+    points = [runner(replace(zcfg, N=n), NATURAL) for n in sweep]
+    columns = (
+        sweep,
+        [point.analytic_survival for point in points],
+        [point.empirical_survival for point in points],
+        [point.stderr for point in points],
+    )
     csv_name = "dual_zeno_sweep.csv" if dual else "zeno_sweep.csv"
-    return record, [(csv_name, ("N", "analytic", "empirical", "stderr"), rows)]
+    return record, [(csv_name, ("N", "analytic", "empirical", "stderr"), columns)]
 
 
 def _run_bell(cfg: RunConfig):
@@ -317,13 +321,17 @@ def _run_bell(cfg: RunConfig):
         "local_deterministic_bound": bell.local_deterministic_bound(),
         "tsirelson_bound": bell.TSIRELSON,
     }
-    rows = []
-    for label in labels:
-        for out_a in (-1, 1):
-            for out_b in (-1, 1):
-                key = f"{'-' if out_a < 0 else '+'}{'-' if out_b < 0 else '+'}"
-                rows.append((label, out_a, out_b, result.counts[label][key]))
-    return record, [("bell_counts.csv", ("pair", "outcome_a", "outcome_b", "count"), rows)]
+    cells = [(label, out_a, out_b) for label in labels for out_a in (-1, 1) for out_b in (-1, 1)]
+    sign = {-1: "-", 1: "+"}
+    counts = [result.counts[label][sign[out_a] + sign[out_b]] for label, out_a, out_b in cells]
+    pairs, outcomes_a, outcomes_b = zip(*cells)
+    return record, [
+        (
+            "bell_counts.csv",
+            ("pair", "outcome_a", "outcome_b", "count"),
+            (pairs, outcomes_a, outcomes_b, counts),
+        )
+    ]
 
 
 def _run_twoslit(cfg: RunConfig):
@@ -357,20 +365,20 @@ def _run_twoslit(cfg: RunConfig):
         "smear_sigma_used": sigma_used,
         "visibility": twoslit.visibility(profile),
     }
-    csvs = [
-        (
-            "twoslit_pattern.csv",
-            ("x", "intensity"),
-            list(zip(profile.xs.tolist(), profile.intensities.tolist())),
-        )
-    ]
+    csvs = [("twoslit_pattern.csv", ("x", "intensity"), (profile.xs, profile.intensities))]
     if cfg.params["sweep"]:
-        rows = []
-        for i in range(11):
-            ratio = i / 10.0
-            vis = twoslit.visibility(twoslit.pattern(geometry, ratio * spacing, grid, span))
-            rows.append((ratio, vis))
-        csvs.append(("twoslit_visibility_sweep.csv", ("sigma_over_spacing", "visibility"), rows))
+        ratios = [i / 10.0 for i in range(11)]
+        visibilities = [
+            twoslit.visibility(twoslit.pattern(geometry, ratio * spacing, grid, span))
+            for ratio in ratios
+        ]
+        csvs.append(
+            (
+                "twoslit_visibility_sweep.csv",
+                ("sigma_over_spacing", "visibility"),
+                (ratios, visibilities),
+            )
+        )
     return record, csvs
 
 
@@ -416,18 +424,26 @@ def _run_cat(cfg: RunConfig):
 
     csvs = []
     if cfg.trials > 0:
-        rows = []
-        for index, weight in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-            row_cfg = catlab.ChainConfig(
-                alpha=math.sqrt(weight),
-                beta=math.sqrt(1.0 - weight),
-                n_devices=chain_cfg.n_devices,
-                trials=cfg.trials,
-                seed=(cfg.seed + index) % 2**64,
+        weights = (0.0, 0.25, 0.5, 0.75, 1.0)
+        per_weight = [
+            catlab.born_statistics(
+                catlab.ChainConfig(
+                    alpha=math.sqrt(weight),
+                    beta=math.sqrt(1.0 - weight),
+                    n_devices=chain_cfg.n_devices,
+                    trials=cfg.trials,
+                    seed=(cfg.seed + index) % 2**64,
+                )
             )
-            stats = catlab.born_statistics(row_cfg)
-            rows.append((weight, stats.f_up, stats.f_down, stats.stderr))
-        csvs.append(("cat_born_vs_weight.csv", ("up_weight", "f_up", "f_down", "stderr"), rows))
+            for index, weight in enumerate(weights)
+        ]
+        columns = (
+            weights,
+            [stats.f_up for stats in per_weight],
+            [stats.f_down for stats in per_weight],
+            [stats.stderr for stats in per_weight],
+        )
+        csvs.append(("cat_born_vs_weight.csv", ("up_weight", "f_up", "f_down", "stderr"), columns))
     return record, csvs
 
 
@@ -442,15 +458,16 @@ def _run_bounds(cfg: RunConfig):
     t_min = cfg.params["t_min"]
     t_max = cfg.params["t_max"]
     durations = np.geomspace(t_min, t_max, cfg.params["points"])
-    rows = [(float(t), bounds.landau_peierls_min(float(t), NATURAL)) for t in durations]
+    # a scalar loop: numpy's (c*T)**2 is not always bit-identical to Python's
+    floors = [bounds.landau_peierls_min(t, NATURAL) for t in durations.tolist()]
 
     record = _base_record(cfg)
     record["result"] = {
         "t_min": t_min,
         "t_max": t_max,
         "points": cfg.params["points"],
-        "min_uncertainty_first": rows[0][1],
-        "min_uncertainty_last": rows[-1][1],
+        "min_uncertainty_first": floors[0],
+        "min_uncertainty_last": floors[-1],
     }
     delta_e = cfg.params["delta_e"]
     delta_t = cfg.params["delta_t"]
@@ -458,16 +475,42 @@ def _run_bounds(cfg: RunConfig):
         report = bounds.energy_time_product(delta_e, delta_t, NATURAL)
         record["result"]["energy_time"] = _uncertainty_dict(report)
     return record, [
-        ("bounds_landau_peierls.csv", ("duration", "min_field_uncertainty"), rows)
+        (
+            "bounds_landau_peierls.csv",
+            ("duration", "min_field_uncertainty"),
+            (durations, np.array(floors)),
+        )
     ]
 
 
-def _check_lightcone(params: dict) -> None:
-    _parse_number_list("velocities", params["velocities"], "float")
+# The most region grid cells a lightcone run may write, about 24x the 211k of
+# grid_step=0.02.  A run holds about 60 bytes per cell: 4.8M cells peaked near
+# 340 MB of memory and wrote a 184 MB file.
+LIGHTCONE_MAX_CELLS = 5_000_000
+
+
+def _lightcone_grid(params: dict) -> tuple[int, int]:
+    """Points along t and x of the region grid; ConfigError if empty or too large."""
+    step = params["grid_step"]
+    sizes = []
     for axis in ("t", "x"):
         lo, hi = params[f"grid_{axis}_min"], params[f"grid_{axis}_max"]
         if hi <= lo:
             raise ConfigError(f"grid_{axis}_max must exceed grid_{axis}_min, got {lo}..{hi}")
+        steps = (hi - lo) / step + 1e-9
+        sizes.append(math.floor(steps) + 1 if math.isfinite(steps) else steps)
+    n_t, n_x = sizes
+    if n_t * n_x > LIGHTCONE_MAX_CELLS:
+        raise ConfigError(
+            f"key 'grid_step' = {step} asks for {n_t} x {n_x} = {n_t * n_x} grid cells,"
+            f" above the limit of {LIGHTCONE_MAX_CELLS}"
+        )
+    return n_t, n_x
+
+
+def _check_lightcone(params: dict) -> None:
+    _parse_number_list("velocities", params["velocities"], "float")
+    _lightcone_grid(params)
 
 
 def _run_lightcone(cfg: RunConfig):
@@ -489,25 +532,20 @@ def _run_lightcone(cfg: RunConfig):
         ],
     }
 
+    # row-major over (t, x); lo + i*step is the same IEEE arithmetic as a scalar loop
+    n_t, n_x = _lightcone_grid(cfg.params)
     step = cfg.params["grid_step"]
-    t_lo, t_hi = cfg.params["grid_t_min"], cfg.params["grid_t_max"]
-    x_lo, x_hi = cfg.params["grid_x_min"], cfg.params["grid_x_max"]
-    n_t = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
-    n_x = int(math.floor((x_hi - x_lo) / step + 1e-9)) + 1
-    rows = []
-    for i in range(n_t):
-        t = t_lo + i * step
-        for j in range(n_x):
-            x = x_lo + j * step
-            allowed = lightcone.collapse_allowed(lightcone.Event(t, x), a, b, NATURAL)
-            rows.append((t, x, 1 if allowed else 0))
-    return record, [("lightcone_region.csv", ("t", "x", "allowed"), rows)]
+    t = np.repeat(cfg.params["grid_t_min"] + np.arange(n_t) * step, n_x)
+    x = np.tile(cfg.params["grid_x_min"] + np.arange(n_x) * step, n_t)
+    allowed = lightcone.collapse_region(t, x, a, b, NATURAL).astype(np.int8)
+    return record, [("lightcone_region.csv", ("t", "x", "allowed"), (t, x, allowed))]
 
 
 @dataclass(frozen=True)
 class _Experiment:
     keys: dict[str, _KeySpec]
-    run: Callable[[RunConfig], tuple[dict, list]]  # -> (result record, CSV tables)
+    # -> (result record, [(CSV file name, header, one column per header name)])
+    run: Callable[[RunConfig], tuple[dict, list]]
     # raises ConfigError on converted values that do not fit together
     check: Callable[[dict], Any] = lambda params: None
 
@@ -531,8 +569,8 @@ def run(cfg: RunConfig) -> int:
         if "json" in cfg.formats:
             write_json(cfg.output_dir / "result.json", record)
         if "csv" in cfg.formats:
-            for name, header, rows in csvs:
-                write_csv(cfg.output_dir / name, header, rows)
+            for name, header, columns in csvs:
+                write_csv(cfg.output_dir / name, header, columns)
     except ParadoxLabError as error:
         print(f"paradox-lab: {cfg.experiment}: {error}", file=sys.stderr)
         return 1

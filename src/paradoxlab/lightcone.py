@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .constants import NATURAL, PhysicalConstants
 from .errors import BoostError, DomainError
 
@@ -74,6 +76,17 @@ def collapse_allowed(
 ) -> bool:
     """Inside the intersection of the past cones of both measurement events."""
     return in_past_cone(p, a, k) and in_past_cone(p, b, k)
+
+
+def collapse_region(
+    t: np.ndarray, x: np.ndarray, a: Event, b: Event, k: PhysicalConstants = NATURAL
+) -> np.ndarray:
+    """``collapse_allowed`` at every point (t[i], x[i]), by the same comparisons."""
+
+    def past_cone(apex: Event) -> np.ndarray:
+        return (t <= apex.t) & (np.abs(x - apex.x) <= k.c * (apex.t - t))
+
+    return past_cone(a) & past_cone(b)
 
 
 def boost(e: Event, frame: Boost, k: PhysicalConstants = NATURAL) -> Event:

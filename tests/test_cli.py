@@ -88,6 +88,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["experiment=zeno"], env={"PARADOX_LAB_SEED": "soon"})
 
+    def test_lightcone_grid_at_the_cell_limit_accepted(self):
+        side = ["grid_t_min=0", "grid_t_max=1999", "grid_x_min=0", "grid_step=1"]
+        limit = cli.LIGHTCONE_MAX_CELLS
+        assert limit == 2000 * 2500
+        parse_config(["experiment=lightcone", *side, "grid_x_max=2499"])
+        with pytest.raises(ConfigError, match=f"2000 x 2501 = 5002000 grid cells.*{limit}"):
+            parse_config(["experiment=lightcone", *side, "grid_x_max=2500"])
+
+    def test_lightcone_grid_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="grid_step"):
+            parse_config(["experiment=lightcone", "grid_t_min=-1e308", "grid_t_max=1e308"])
+
     def test_formats_subset(self):
         cfg = parse_config(["experiment=zeno", "formats=json"])
         assert cfg.formats == ("json",)
@@ -192,6 +204,30 @@ class TestCsvContract:
         assert rows[(2.25, 0.0)] == 0
         assert rows[(0.0, 0.0)] == 1
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [],
+            ["grid_step=0.02"],
+            ["grid_t_min=-1.1", "grid_t_max=2.9", "grid_x_min=-0.7", "grid_step=0.03"],
+            # 0.3/0.1 and 0.7/0.1 fall just below 3 and 7
+            ["grid_t_min=0", "grid_t_max=0.3", "grid_x_min=0", "grid_x_max=0.7", "grid_step=0.1"],
+        ],
+    )
+    def test_lightcone_grid_is_the_scalar_loop(self, tokens):
+        cfg = parse_config(["experiment=lightcone", *tokens])
+        _, [(name, header, (t, x, allowed))] = cli._run_lightcone(cfg)
+        p = cfg.params
+        step = p["grid_step"]
+        n_t = int(math.floor((p["grid_t_max"] - p["grid_t_min"]) / step + 1e-9)) + 1
+        n_x = int(math.floor((p["grid_x_max"] - p["grid_x_min"]) / step + 1e-9)) + 1
+        ts = [p["grid_t_min"] + i * step for i in range(n_t) for _ in range(n_x)]
+        xs = [p["grid_x_min"] + j * step for _ in range(n_t) for j in range(n_x)]
+        assert (name, header) == ("lightcone_region.csv", ("t", "x", "allowed"))
+        assert t.tolist() == ts
+        assert x.tolist() == xs
+        assert set(allowed.tolist()) <= {0, 1}
+
     def test_formats_filter(self, tmp_path):
         cfg = parse_config(
             ["experiment=bounds", "formats=csv"], output_dir=tmp_path
@@ -270,6 +306,7 @@ class TestMain:
                 ["lightcone", "grid_x_min=2", "grid_x_max=-2"], "grid_x_max", id="lightcone-grid-x"
             ),
             pytest.param(["lightcone", "velocities=0.5,fast"], "velocities", id="lightcone-v"),
+            pytest.param(["lightcone", "grid_step=0.0001"], "grid_step", id="lightcone-budget"),
             pytest.param(["bell", "threads=2"], "threads", id="threads-unknown"),
         ],
     )
@@ -286,6 +323,15 @@ class TestMain:
         out = tmp_path / "out"
         assert main([*tokens, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_lightcone_grid_is_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["lightcone", "grid_step=0.0001", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid_step" in err
+        assert "70001 x 120001 = 8400190001 grid cells" in err
+        assert str(cli.LIGHTCONE_MAX_CELLS) in err
         assert not out.exists()
 
     def test_env_seed_reaches_output(self, tmp_path, monkeypatch):

@@ -82,6 +82,54 @@ class TestCollapseAllowed:
         assert best == (2.0, 0.0)
 
 
+def scalar_grid(step, t_lo=-1.0, t_hi=6.0, x_lo=-6.0, x_hi=6.0):
+    """The CLI's region grid, point by point in row-major (t, x) order."""
+    n_t = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
+    n_x = int(math.floor((x_hi - x_lo) / step + 1e-9)) + 1
+    return [(t_lo + i * step, x_lo + j * step) for i in range(n_t) for j in range(n_x)]
+
+
+TIMELIKE_A = lightcone.Event(5.0, 0.0)
+TIMELIKE_B = lightcone.Event(2.0, 1.0)
+
+
+class TestCollapseRegion:
+    @pytest.mark.parametrize("step", [0.25, 0.02], ids=["default-grid", "step-0.02"])
+    @pytest.mark.parametrize(
+        "a, b", [(ALICE, BOB), (TIMELIKE_A, TIMELIKE_B)], ids=["spacelike", "timelike"]
+    )
+    def test_matches_collapse_allowed_on_every_grid_point(self, step, a, b):
+        points = scalar_grid(step)
+        t, x = (np.array(axis) for axis in zip(*points))
+        region = lightcone.collapse_region(t, x, a, b)
+        expected = [lightcone.collapse_allowed(lightcone.Event(*p), a, b) for p in points]
+        assert region.dtype == bool
+        assert region.tolist() == expected
+        assert region.any() and not region.all()
+
+    def test_cone_boundaries_and_their_neighbours(self):
+        points = []
+        for apex in (ALICE, BOB, TIMELIKE_A, TIMELIKE_B, lightcone.Event(2.0, 0.0)):
+            for d in (0.0, 0.5, 1.0, 2.75, 3.0, 8.0):
+                for t, x in ((apex.t - d, apex.x - d), (apex.t - d, apex.x + d)):
+                    for dt in (-1, 0, 1):
+                        for dx in (-1, 0, 1):
+                            points.append(
+                                (
+                                    math.nextafter(t, dt * math.inf) if dt else t,
+                                    math.nextafter(x, dx * math.inf) if dx else x,
+                                )
+                            )
+        t, x = (np.array(axis) for axis in zip(*points))
+        for a, b in ((ALICE, BOB), (TIMELIKE_A, TIMELIKE_B)):
+            region = lightcone.collapse_region(t, x, a, b)
+            expected = [lightcone.collapse_allowed(lightcone.Event(*p), a, b) for p in points]
+            assert region.tolist() == expected
+        # the intersection apex of the default pair and its boundary are inside
+        edge = lightcone.collapse_region(np.array([2.0, 1.0]), np.array([0.0, 1.0]), ALICE, BOB)
+        assert edge.all()
+
+
 class TestBoost:
     def test_identity_at_rest(self):
         event = lightcone.Event(3.2, -1.5)
