@@ -181,7 +181,7 @@ def _sample_counts(
         cells[3] = int(np.sum(~a_minus & ~b_minus))
         return cells
 
-    totals = np.sum(run_chunks(n, worker), axis=0)
+    totals = np.sum(run_chunks(n, worker, 2), axis=0)
     return {
         (-1, -1): int(totals[0]),
         (-1, 1): int(totals[1]),

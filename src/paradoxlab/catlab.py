@@ -129,7 +129,7 @@ def born_statistics(cfg: ChainConfig) -> BornStats:
         u = stream.uniform_block(hi - lo, 1, first=lo)
         return int(np.sum(u[:, 0] >= p_down))
 
-    ups = sum(run_chunks(cfg.trials, worker))
+    ups = sum(run_chunks(cfg.trials, worker, 1))
     f_up = ups / cfg.trials
     return BornStats(
         f_up=f_up,

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__, bell, bounds, catlab, lightcone, twoslit, zeno
 from .constants import NATURAL
 from .errors import ConfigError, ParadoxLabError
+from .montecarlo import DRAW_BUDGET
 from .rng import DEFAULT_SEED, MAX_SEED, SeededStream
 from .serialize import write_csv, write_json
 
@@ -54,7 +55,8 @@ _COMMON = {
 _ZENO_KEYS = {
     "B": _KeySpec("float", 1.0, strictly_positive=True),
     "T": _KeySpec("float", None, strictly_positive=True),
-    "N": _KeySpec("int", 10, minimum=1),
+    # one trial's row of N uniforms must fit in one Monte Carlo chunk
+    "N": _KeySpec("int", 10, minimum=1, maximum=DRAW_BUDGET),
     "trials": _KeySpec("int", 100000, minimum=1),
     "sweep": _KeySpec("str", "1,2,5,10,50"),
 }
@@ -242,7 +244,43 @@ def _zeno_sweep(params: dict) -> list[int]:
     for n in values:
         if n < 1:
             raise ConfigError(f"key 'sweep' entries must be >= 1, got {n}")
+        if n > DRAW_BUDGET:
+            raise ConfigError(f"key 'sweep' entries must be <= {DRAW_BUDGET}, got {n}")
     return values
+
+
+# Work budget: the most uniforms one Monte Carlo run may draw (over 400x the
+# 10M of the largest benchmark invocation), and the most region grid cells a
+# lightcone run may write (about 24x the 211k of grid_step=0.02; a run holds
+# about 60 bytes per cell: 4.8M cells peaked near 340 MB of memory and wrote a
+# 184 MB file).
+MAX_DRAWS = 2**32
+LIGHTCONE_MAX_CELLS = 5_000_000
+
+
+def _check_work(subject: str, factor: int, per: int, unit: str, limit: int) -> None:
+    """ConfigError naming ``subject`` when ``factor * per`` exceeds ``limit``."""
+    total = factor * per
+    if total > limit:
+        raise ConfigError(
+            f"{subject} asks for {factor} x {per} = {total} {unit}, above the limit of {limit}"
+        )
+
+
+def _check_draws(params: dict, per_trial: int, detail: str = "") -> None:
+    trials = params["trials"]
+    _check_work(f"key 'trials' = {trials}{detail}", trials, per_trial, "uniform draws", MAX_DRAWS)
+
+
+def _check_zeno(params: dict) -> None:
+    per_trial = params["N"] + sum(_zeno_sweep(params))
+    _check_draws(params, per_trial, f" with N + sum(sweep) = {per_trial}")
+
+
+def _check_cat(params: dict) -> None:
+    _normalized_pair(params)
+    # one uniform per trial for the main run and for each of five weights
+    _check_draws(params, 6)
 
 
 def _base_record(cfg: RunConfig) -> dict:
@@ -289,7 +327,8 @@ def _run_zeno_like(cfg: RunConfig):
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg, NATURAL))
 
     sweep = _zeno_sweep(cfg.params)
-    points = [runner(replace(zcfg, N=n), NATURAL) for n in sweep]
+    # a sweep point at the main N is the main run again: same config, same bytes
+    points = [result if n == zcfg.N else runner(replace(zcfg, N=n), NATURAL) for n in sweep]
     columns = (
         sweep,
         [point.analytic_survival for point in points],
@@ -483,12 +522,6 @@ def _run_bounds(cfg: RunConfig):
     ]
 
 
-# The most region grid cells a lightcone run may write, about 24x the 211k of
-# grid_step=0.02.  A run holds about 60 bytes per cell: 4.8M cells peaked near
-# 340 MB of memory and wrote a 184 MB file.
-LIGHTCONE_MAX_CELLS = 5_000_000
-
-
 def _lightcone_grid(params: dict) -> tuple[int, int]:
     """Points along t and x of the region grid; ConfigError if empty or too large."""
     step = params["grid_step"]
@@ -500,11 +533,7 @@ def _lightcone_grid(params: dict) -> tuple[int, int]:
         steps = (hi - lo) / step + 1e-9
         sizes.append(math.floor(steps) + 1 if math.isfinite(steps) else steps)
     n_t, n_x = sizes
-    if n_t * n_x > LIGHTCONE_MAX_CELLS:
-        raise ConfigError(
-            f"key 'grid_step' = {step} asks for {n_t} x {n_x} = {n_t * n_x} grid cells,"
-            f" above the limit of {LIGHTCONE_MAX_CELLS}"
-        )
+    _check_work(f"key 'grid_step' = {step}", n_t, n_x, "grid cells", LIGHTCONE_MAX_CELLS)
     return n_t, n_x
 
 
@@ -551,11 +580,12 @@ class _Experiment:
 
 
 EXPERIMENTS: dict[str, _Experiment] = {
-    "zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _zeno_sweep),
-    "dual-zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _zeno_sweep),
-    "bell": _Experiment(_BELL_KEYS, _run_bell),
+    "zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _check_zeno),
+    "dual-zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _check_zeno),
+    # two uniforms per trial: the A outcome, then B conditioned on it
+    "bell": _Experiment(_BELL_KEYS, _run_bell, lambda params: _check_draws(params, 2)),
     "twoslit": _Experiment(_TWOSLIT_KEYS, _run_twoslit),
-    "cat": _Experiment(_CAT_KEYS, _run_cat, _normalized_pair),
+    "cat": _Experiment(_CAT_KEYS, _run_cat, _check_cat),
     "bounds": _Experiment(_BOUNDS_KEYS, _run_bounds, _check_bounds),
     "lightcone": _Experiment(_LIGHTCONE_KEYS, _run_lightcone, _check_lightcone),
 }

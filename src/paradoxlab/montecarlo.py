@@ -1,4 +1,4 @@
-"""Trial execution in fixed-size chunks, which bounds each worker's memory."""
+"""Trial execution in chunks sized by a draw budget, which bounds each worker's memory."""
 
 from __future__ import annotations
 
@@ -7,21 +7,20 @@ from typing import Callable, TypeVar
 from .errors import DomainError
 
 CHUNK_SIZE = 16384
+# Most uniforms one chunk draws: 8 MiB of float64 in a worker's block.  A row
+# never splits across chunks, so a row longer than this still gets one chunk.
+DRAW_BUDGET = 2**20
 
 T = TypeVar("T")
 
 
-def run_chunks(
-    n_trials: int, worker: Callable[[int, int], T], threads: int = 1
-) -> list[T]:
-    """Run ``worker(lo, hi)`` over fixed-size index chunks, in index order.
+def run_chunks(n_trials: int, worker: Callable[[int, int], T], draws: int = 1) -> list[T]:
+    """Run ``worker(lo, hi)`` over index chunks in index order.
 
-    ``threads`` exists only because the benchmark's layer tracer
-    (``bench/spans.py``) passes it through; it accepts only 1, and a later
-    change to the benchmark can drop it.
+    Each trial draws ``draws`` uniforms, so a chunk holds
+    ``max(1, min(CHUNK_SIZE, DRAW_BUDGET // draws))`` trials.
     """
-    if threads != 1:
-        raise DomainError(f"threads must be 1, got {threads}")
-    return [
-        worker(lo, min(lo + CHUNK_SIZE, n_trials)) for lo in range(0, n_trials, CHUNK_SIZE)
-    ]
+    if draws < 1:
+        raise DomainError(f"draws per trial must be >= 1, got {draws}")
+    rows = max(1, min(CHUNK_SIZE, DRAW_BUDGET // draws))
+    return [worker(lo, min(lo + rows, n_trials)) for lo in range(0, n_trials, rows)]

@@ -104,7 +104,7 @@ def _sample_survival(
         hist = np.bincount(jumped[any_jump].argmax(axis=1), minlength=steps)
         return int((~any_jump).sum()), hist
 
-    parts = run_chunks(trials, worker)
+    parts = run_chunks(trials, worker, steps)
     survived = sum(p[0] for p in parts)
     hist = np.sum([p[1] for p in parts], axis=0)
     return survived, hist

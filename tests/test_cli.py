@@ -9,6 +9,7 @@ import pytest
 from paradoxlab import cli, zeno
 from paradoxlab.cli import DEFAULT_SEED, main, parse_config, run
 from paradoxlab.errors import ConfigError
+from paradoxlab.montecarlo import DRAW_BUDGET
 from paradoxlab.serialize import dumps
 
 
@@ -96,6 +97,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"2000 x 2501 = 5002000 grid cells.*{limit}"):
             parse_config(["experiment=lightcone", *side, "grid_x_max=2500"])
 
+    @pytest.mark.parametrize("experiment", ["zeno", "dual-zeno"])
+    def test_zeno_row_length_capped_at_the_draw_budget(self, experiment):
+        cap = DRAW_BUDGET
+        parse_config([f"experiment={experiment}", f"N={cap}", "trials=1", f"sweep={cap}"])
+        with pytest.raises(ConfigError, match=f"key 'N' must be <= {cap}, got {cap + 1}"):
+            parse_config([f"experiment={experiment}", f"N={cap + 1}", "trials=1"])
+        with pytest.raises(ConfigError, match=f"'sweep' entries must be <= {cap}, got {cap + 1}"):
+            parse_config([f"experiment={experiment}", "trials=1", f"sweep=1,{cap + 1}"])
+
+    @pytest.mark.parametrize(
+        "tokens, per_trial",
+        [
+            (["experiment=zeno", "N=10", "sweep=1,2,5,10,50"], 78),
+            (["experiment=dual-zeno", "N=1000", "sweep=24"], 1024),
+            (["experiment=bell"], 2),
+            (["experiment=cat"], 6),
+        ],
+        ids=["zeno", "dual-zeno", "bell", "cat"],
+    )
+    def test_monte_carlo_draws_within_the_work_budget(self, tokens, per_trial):
+        limit = cli.MAX_DRAWS
+        assert limit == 2**32
+        most = limit // per_trial
+        parse_config([*tokens, f"trials={most}"])
+        over = most + 1
+        with pytest.raises(ConfigError) as error:
+            parse_config([*tokens, f"trials={over}"])
+        message = str(error.value)
+        assert f"key 'trials' = {over}" in message
+        assert f"{over} x {per_trial} = {over * per_trial} uniform draws" in message
+        assert f"above the limit of {limit}" in message
+
     def test_lightcone_grid_beyond_float_range_rejected(self):
         with pytest.raises(ConfigError, match="grid_step"):
             parse_config(["experiment=lightcone", "grid_t_min=-1e308", "grid_t_max=1e308"])
@@ -160,6 +193,24 @@ class TestJsonContract:
         assert record["version"]
         assert abs(record["result"]["exact_s"] + 2.0 * math.sqrt(2.0)) <= 1e-9
         assert record["result"]["local_deterministic_bound"] == 2.0
+
+    @pytest.mark.parametrize("experiment", ["zeno", "dual-zeno"])
+    def test_sweep_point_at_the_main_n_reuses_the_main_run(
+        self, tmp_path, monkeypatch, experiment
+    ):
+        # the golden files (N=10 in sweep 1,2,5,10,50) pin the bytes of the reused row
+        name = "run_dual_zeno" if experiment == "dual-zeno" else "run_zeno"
+        original = getattr(zeno, name)
+        calls = []
+
+        def counted(zcfg, k):
+            calls.append(zcfg.N)
+            return original(zcfg, k)
+
+        monkeypatch.setattr(zeno, name, counted)
+        tokens = [f"experiment={experiment}", "N=4", "trials=3000", "sweep=2,4,7"]
+        run(parse_config(tokens, output_dir=tmp_path))
+        assert calls == [4, 2, 7]
 
     def test_zeno_record_fields(self, tmp_path):
         cfg = parse_config(
@@ -308,6 +359,12 @@ class TestMain:
             pytest.param(["lightcone", "velocities=0.5,fast"], "velocities", id="lightcone-v"),
             pytest.param(["lightcone", "grid_step=0.0001"], "grid_step", id="lightcone-budget"),
             pytest.param(["bell", "threads=2"], "threads", id="threads-unknown"),
+            pytest.param(["zeno", "N=2000000"], "'N'", id="zeno-row-cap"),
+            pytest.param(["dual-zeno", "sweep=1,2000000"], "'sweep'", id="zeno-sweep-row-cap"),
+            pytest.param(["zeno", "trials=100000000"], "'trials'", id="zeno-budget"),
+            pytest.param(["dual-zeno", "N=1000000", "trials=5000"], "N", id="dual-zeno-budget"),
+            pytest.param(["bell", "trials=3000000000"], "'trials'", id="bell-budget"),
+            pytest.param(["cat", "trials=1000000000"], "'trials'", id="cat-budget"),
         ],
     )
     def test_config_error_is_exit_two_before_any_work(

@@ -1,11 +1,12 @@
 """Zeno survival law, Monte Carlo agreement, and the dual experiment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from paradoxlab import qcore, zeno
+from paradoxlab import montecarlo, qcore, zeno
 from paradoxlab.constants import NATURAL
 from paradoxlab.errors import DomainError
 from paradoxlab.rng import SeededStream
@@ -124,6 +125,32 @@ class TestRunZeno:
         explicit = np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / math.sqrt(2.0)
         target = qcore.StateVector((2,), explicit)
         assert abs(abs(qcore.overlap(target, pre)) - 1.0) <= 1e-12
+
+
+class TestChunking:
+    def test_worker_memory_bounded_by_the_draw_budget(self):
+        # one 500-trial chunk of 20000 draws would hold an 80 MB uniform block
+        p_minus = zeno._step_probability(cfg_with(20000), NATURAL, dual=False)
+        tracemalloc.start()
+        try:
+            zeno._sample_survival(p_minus, 20000, 500, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * montecarlo.DRAW_BUDGET
+
+    @pytest.mark.parametrize(
+        "budget, steps, trials",
+        [(64, 10, 2000), (64, 500, 300), (2**30, 20000, 500)],
+        ids=["rows-of-6", "rows-of-1", "one-chunk"],
+    )
+    def test_counts_do_not_depend_on_the_draw_budget(self, monkeypatch, budget, steps, trials):
+        p_minus = 1.0 / steps
+        survived, hist = zeno._sample_survival(p_minus, steps, trials, 17)
+        monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
+        rechunked = zeno._sample_survival(p_minus, steps, trials, 17)
+        assert rechunked[0] == survived
+        np.testing.assert_array_equal(rechunked[1], hist)
 
 
 class TestStepLaw:
