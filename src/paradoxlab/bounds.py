@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
 from .errors import DomainError
+
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,27 @@ def landau_peierls_min(T: float, k: PhysicalConstants = NATURAL) -> float:
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"measurement duration must be positive, got {T}")
     return math.sqrt(k.hbar * k.c) / (k.c * T) ** 2
+
+
+def landau_peierls_floors(durations: np.ndarray, k: PhysicalConstants = NATURAL) -> np.ndarray:
+    """``landau_peierls_min`` over an array of durations, bit for bit.
+
+    The durations are checked once and the root is taken once; each floor is
+    then the scalar expression on Python floats, because numpy's power is not
+    always bit-identical to Python's ``**``.
+    """
+    durations = np.asarray(durations, dtype=np.float64)
+    bad = ~(np.isfinite(durations) & (durations > 0))
+    if bad.any():
+        T = float(durations[bad][0])
+        raise DomainError(f"measurement duration must be positive, got {T}")
+    root, c = math.sqrt(k.hbar * k.c), k.c
+    n = len(durations)
+    # Python floats a block at a time, never the whole array as a list
+    values = chain.from_iterable(
+        durations[lo : lo + _BLOCK].tolist() for lo in range(0, n, _BLOCK)
+    )
+    return np.fromiter((root / (c * T) ** 2 for T in values), np.float64, n)
 
 
 def energy_time_product(

@@ -74,7 +74,8 @@ _TWOSLIT_KEYS = {
     "slit_separation": _KeySpec("float", 2.0, strictly_positive=True),
     "screen_distance": _KeySpec("float", 100.0, strictly_positive=True),
     "delta_p_s": _KeySpec("float", None, strictly_positive=True),
-    "grid": _KeySpec("int", 2048, minimum=64),
+    # the direct convolution costs grid x kernel; 4x the benchmark's 16384
+    "grid": _KeySpec("int", 2048, minimum=64, maximum=65536),
     "span_fringes": _KeySpec("float", 8.0, minimum=4.0),
     "sweep": _KeySpec("bool", True),
 }
@@ -251,11 +252,13 @@ def _zeno_sweep(params: dict) -> list[int]:
 
 # Work budget: the most uniforms one Monte Carlo run may draw (over 400x the
 # 10M of the largest benchmark invocation), and the most region grid cells a
-# lightcone run may write (about 24x the 211k of grid_step=0.02; a run holds
-# about 60 bytes per cell: 4.8M cells peaked near 340 MB of memory and wrote a
+# lightcone run may write (about 24x the 211k of grid_step=0.02; 4.8M cells
+# peaked near 190 MB of memory, mostly the grid's own arrays, and wrote a
 # 184 MB file).
 MAX_DRAWS = 2**32
 LIGHTCONE_MAX_CELLS = 5_000_000
+# one CSV row per point, the same table size as the lightcone region
+BOUNDS_MAX_POINTS = LIGHTCONE_MAX_CELLS
 
 
 def _check_work(subject: str, factor: int, per: int, unit: str, limit: int) -> None:
@@ -491,22 +494,23 @@ def _check_bounds(params: dict) -> None:
         raise ConfigError(f"t_max must exceed t_min, got {params['t_min']}..{params['t_max']}")
     if (params["delta_e"] is None) != (params["delta_t"] is None):
         raise ConfigError("delta_e and delta_t must be given together")
+    points = params["points"]
+    _check_work(f"key 'points' = {points}", points, 1, "curve points", BOUNDS_MAX_POINTS)
 
 
 def _run_bounds(cfg: RunConfig):
     t_min = cfg.params["t_min"]
     t_max = cfg.params["t_max"]
     durations = np.geomspace(t_min, t_max, cfg.params["points"])
-    # a scalar loop: numpy's (c*T)**2 is not always bit-identical to Python's
-    floors = [bounds.landau_peierls_min(t, NATURAL) for t in durations.tolist()]
+    floors = bounds.landau_peierls_floors(durations, NATURAL)
 
     record = _base_record(cfg)
     record["result"] = {
         "t_min": t_min,
         "t_max": t_max,
         "points": cfg.params["points"],
-        "min_uncertainty_first": floors[0],
-        "min_uncertainty_last": floors[-1],
+        "min_uncertainty_first": float(floors[0]),
+        "min_uncertainty_last": float(floors[-1]),
     }
     delta_e = cfg.params["delta_e"]
     delta_t = cfg.params["delta_t"]
@@ -517,7 +521,7 @@ def _run_bounds(cfg: RunConfig):
         (
             "bounds_landau_peierls.csv",
             ("duration", "min_field_uncertainty"),
-            (durations, np.array(floors)),
+            (durations, floors),
         )
     ]
 

@@ -7,9 +7,11 @@ from typing import Callable, TypeVar
 from .errors import DomainError
 
 CHUNK_SIZE = 16384
-# Most uniforms one chunk draws: 8 MiB of float64 in a worker's block.  A row
-# never splits across chunks, so a row longer than this still gets one chunk.
-DRAW_BUDGET = 2**20
+# Most uniforms one chunk draws: 4 MiB of float64 in a worker's block, which
+# keeps it below the size at which numpy asks the kernel for huge pages, so its
+# resident size does not depend on where the heap places it.  A row never
+# splits across chunks, so a row longer than this still gets one chunk.
+DRAW_BUDGET = 2**19
 
 T = TypeVar("T")
 

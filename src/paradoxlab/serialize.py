@@ -4,10 +4,10 @@ Floats are rendered as decimals with up to 17 significant digits, which
 round-trips every finite double exactly; keys are sorted; CSV uses LF line
 endings.  Identical records therefore serialize to identical bytes.
 
-CSV tables are passed as columns.  A float64 array column is formatted once
-per distinct bit pattern and the rows are streamed to disk in blocks, so a
-large table costs its distinct cell texts, one index per cell and one block
-of text, never the whole file.
+CSV tables are passed as columns and written in blocks of rows.  Each block
+of a float64 or integer array column is formatted once per distinct value,
+joined and written on its own, so the text held at any time is one block of
+cells, whatever the size of the table.
 """
 
 from __future__ import annotations
@@ -39,50 +39,50 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _dump(value, pieces: list[str], indent: int):
-    pad = "  " * indent
+def _scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _render(value, indent: int) -> str:
+    """JSON text of ``value``, each nested level indented two more spaces."""
     if isinstance(value, dict):
         if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
+            return "{}"
+        items = []
+        for key in sorted(value):
             if not isinstance(key, str):
                 raise DomainError(f"JSON keys must be strings, got {key!r}")
-            pieces.append(f"{pad}  {json.dumps(key)}: ")
-            _dump(value[key], pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(keys) else "\n")
-        pieces.append(pad + "}")
+            items.append(f"{json.dumps(key)}: {_render(value[key], indent + 1)}")
+        brackets = "{}"
     elif isinstance(value, (list, tuple)):
         if not value:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(value):
-            pieces.append(pad + "  ")
-            _dump(item, pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "]")
-    elif isinstance(value, bool):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(format_float(value))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif value is None:
-        pieces.append("null")
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(str, value)  # counts and histograms, the long lists
+        elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+            items = [_render(item, indent + 1) for item in value]
+        else:
+            items = map(_scalar, value)
+        brackets = "[]"
     else:
-        raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
+        return _scalar(value)
+    pad = "  " * indent
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def dumps(record: dict) -> str:
-    pieces: list[str] = []
-    _dump(record, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _render(record, 0) + "\n"
 
 
 def write_json(path: Path, record: dict):
@@ -95,24 +95,53 @@ _BLOCK_ROWS = 16384
 
 def _format_doubles(values: np.ndarray) -> list[str]:
     """``format_float`` over finite float64 values, integral ones with ".0"."""
-    texts = ["%.17g" % v for v in values.tolist()]
+    texts = [format(v, ".17g") for v in values.tolist()]
     integral = ((values == np.floor(values)) & (np.abs(values) < 1e17)).tolist()
     return [text + ".0" if whole else text for text, whole in zip(texts, integral)]
 
 
-def _column_cells(column: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
-    """A column's cell texts, as (distinct texts, row -> text index) or (texts, None)."""
+def _checked(column: Sequence) -> Sequence:
+    """A float64 or integer array as it is, any other column as its cell texts.
+
+    A float64 column is checked finite block by block before the file is
+    opened, so a bad value anywhere raises with nothing written.
+    """
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        finite = np.isfinite(column)
-        if not finite.all():
-            format_float(float(column[~finite][0]))  # raises DomainError
-        # the bit pattern keeps -0.0 apart from 0.0
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        return np.array(_format_doubles(bits.view(np.float64)), dtype=object), inverse
+        for lo in range(0, len(column), _BLOCK_ROWS):
+            block = column[lo : lo + _BLOCK_ROWS]
+            finite = np.isfinite(block)
+            if not finite.all():
+                format_float(float(block[~finite][0]))  # raises DomainError
+        return column
     if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
-        distinct, inverse = np.unique(column, return_inverse=True)
-        return np.array([format_value(v) for v in distinct.tolist()], dtype=object), inverse
-    return np.array([format_value(cell) for cell in column], dtype=object), None
+        return column
+    return [format_value(cell) for cell in column]
+
+
+def _block_cells(column: Sequence, rows: slice) -> list[str]:
+    """One block of a checked column's cell texts, each distinct value formatted once."""
+    part = column[rows]
+    if not isinstance(part, np.ndarray):
+        return part
+    if part.dtype == np.float64:
+        # the bit pattern keeps -0.0 apart from 0.0
+        bits, inverse = np.unique(part.view(np.uint64), return_inverse=True)
+        texts = _format_doubles(bits.view(np.float64))
+    else:
+        distinct, inverse = np.unique(part, return_inverse=True)
+        texts = [format_value(v) for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _joined(block: list[list[str]]) -> str:
+    """CSV text of a block given as columns of cell texts, one line per row."""
+    width, n = 2 * len(block), len(block[0])
+    # cell, ",", cell, ",", ..., cell, "\n" for each row, with no per-row strings
+    flat = [","] * (width * n)
+    for j, cells in enumerate(block):
+        flat[2 * j :: width] = cells
+    flat[width - 1 :: width] = ["\n"] * n
+    return "".join(flat)
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]):
@@ -123,13 +152,9 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]):
     if len(lengths) > 1:
         raise DomainError(f"CSV columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    cells = [_column_cells(column) for column in columns]
+    columns = [_checked(column) for column in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(",".join(header) + "\n")
         for lo in range(0, n_rows, _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            block = [
-                texts[rows if inverse is None else inverse[rows]].tolist()
-                for texts, inverse in cells
-            ]
-            out.write("\n".join(map(",".join, zip(*block))) + "\n")
+            out.write(_joined([_block_cells(column, rows) for column in columns]))

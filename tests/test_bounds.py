@@ -40,6 +40,29 @@ class TestLandauPeierls:
             bounds.landau_peierls_min(-1.0)
 
 
+class TestLandauPeierlsFloors:
+    @pytest.mark.parametrize(
+        "k", [PhysicalConstants(), PhysicalConstants(hbar=4.0, c=2.0)], ids=["natural", "custom"]
+    )
+    def test_equals_the_scalar_bit_for_bit(self, k):
+        durations = np.geomspace(0.1, 100.0, 100_000)
+        floors = bounds.landau_peierls_floors(durations, k)
+        scalar = np.array([bounds.landau_peierls_min(t, k) for t in durations.tolist()])
+        assert floors.dtype == np.float64
+        np.testing.assert_array_equal(floors.view(np.uint64), scalar.view(np.uint64))
+
+    def test_empty(self):
+        assert bounds.landau_peierls_floors(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_first_bad_duration_raises_like_the_scalar(self, bad):
+        with pytest.raises(DomainError) as expected:
+            bounds.landau_peierls_min(bad)
+        with pytest.raises(DomainError) as got:
+            bounds.landau_peierls_floors(np.array([1.0, bad, -5.0]))
+        assert str(got.value) == str(expected.value)
+
+
 class TestEnergyTimeProduct:
     def test_zeno_schedule_products(self):
         # delta_E = 2*mu*B = 2, delta_t = T/N with T = pi/2

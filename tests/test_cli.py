@@ -365,6 +365,11 @@ class TestMain:
             pytest.param(["dual-zeno", "N=1000000", "trials=5000"], "N", id="dual-zeno-budget"),
             pytest.param(["bell", "trials=3000000000"], "'trials'", id="bell-budget"),
             pytest.param(["cat", "trials=1000000000"], "'trials'", id="cat-budget"),
+            pytest.param(
+                ["dual-zeno", "N=500000", "trials=9000"], "'trials'", id="dual-zeno-budget-below-cap"
+            ),
+            pytest.param(["bounds", "points=5000001"], "'points'", id="bounds-points-cap"),
+            pytest.param(["twoslit", "grid=65537"], "'grid'", id="twoslit-grid-cap"),
         ],
     )
     def test_config_error_is_exit_two_before_any_work(

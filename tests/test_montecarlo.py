@@ -22,12 +22,16 @@ def test_chunks_are_fixed_size_and_in_order():
     [
         (1, CHUNK_SIZE),
         (2, CHUNK_SIZE),
-        (64, CHUNK_SIZE),
+        (32, CHUNK_SIZE),
+        (33, DRAW_BUDGET // 33),
+        (64, 8192),
         (65, DRAW_BUDGET // 65),
-        (20000, 52),
+        (20000, 26),
         (DRAW_BUDGET, 1),
         (DRAW_BUDGET + 1, 1),
-        (10 * DRAW_BUDGET, 1),
+        (2 * DRAW_BUDGET, 1),
+        (2 * DRAW_BUDGET + 1, 1),
+        (20 * DRAW_BUDGET, 1),
     ],
 )
 def test_rows_per_chunk_follow_the_draw_budget(draws, rows):

@@ -1,6 +1,9 @@
-"""Columnar CSV writer: every cell must read exactly as format_value renders it."""
+"""Columnar CSV writer and JSON renderer: bytes must equal the cell-by-cell forms."""
 
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from paradoxlab import serialize
 from paradoxlab.errors import DomainError
-from paradoxlab.serialize import format_float, format_value, write_csv
+from paradoxlab.serialize import dumps, format_float, format_value, write_csv
 
 
 # each example overwrites the same file in tmp_path
@@ -150,3 +153,152 @@ class TestTables:
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1]])
         with pytest.raises(DomainError, match="header"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
+
+
+class TestBlocks:
+    """Each block of rows is formatted, de-duplicated and written on its own."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[TMP_PATH])
+    @given(
+        st.integers(1, 7),
+        st.lists(st.tuples(st.sampled_from(EDGES[:8]), finite_doubles, st.booleans()), max_size=40),
+    )
+    def test_any_block_size_matches_the_whole_table(self, tmp_path, block_rows, rows):
+        # few distinct values, so the same value recurs on both sides of block edges
+        repeated = np.array([row[0] for row in rows], dtype=np.float64)
+        distinct = np.array([row[1] for row in rows], dtype=np.float64)
+        flags = np.array([row[2] for row in rows])
+        labels = [f"r{i % 3}" for i in range(len(rows))]
+        header = ["a", "b", "flag", "label"]
+        columns = [repeated, distinct, flags, labels]
+        with mock.patch.object(serialize, "_BLOCK_ROWS", block_rows):
+            text = written(tmp_path, header, columns)
+        assert text == expected_csv(header, columns)
+
+    def test_value_repeated_across_every_block_edge(self, tmp_path):
+        n = 3 * serialize._BLOCK_ROWS + 1
+        zeros = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+        steps = np.arange(n) // 5 * 0.1
+        header = ["z", "s"]
+        assert written(tmp_path, header, [zeros, steps]) == expected_csv(header, [zeros, steps])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bad_value_in_the_last_block_raises_before_the_file_exists(self, tmp_path, bad):
+        n = 3 * serialize._BLOCK_ROWS + 5
+        good = np.arange(n, dtype=np.float64)
+        late = good.copy()
+        late[-1] = bad
+        path = tmp_path / "late.csv"
+        with pytest.raises(DomainError, match="non-finite"):
+            write_csv(path, ["good", "late"], [good, late])
+        assert not path.exists()
+
+    def test_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        def peak(n_rows: int) -> int:
+            # distinct doubles, so no column shrinks by de-duplication
+            t = np.geomspace(0.1, 100.0, n_rows)
+            y = 1.0 / t**2
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "big.csv", ["t", "y"], [t, y])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(1_000_000)
+        # both sizes hold one block: under 4 MB of cell texts and joined text;
+        # a cost per cell would add tens of MB at the larger size
+        assert large <= small + 256 * 1024, (small, large)
+
+
+def recursive_dumps(record) -> str:
+    """The one-call-per-item renderer that ``dumps`` replaced, kept as an oracle."""
+
+    def dump(value, pieces, indent):
+        pad = "  " * indent
+        if isinstance(value, dict):
+            if not value:
+                pieces.append("{}")
+                return
+            pieces.append("{\n")
+            keys = sorted(value)
+            for i, key in enumerate(keys):
+                pieces.append(f"{pad}  {json.dumps(key)}: ")
+                dump(value[key], pieces, indent + 1)
+                pieces.append(",\n" if i + 1 < len(keys) else "\n")
+            pieces.append(pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                pieces.append("[]")
+                return
+            pieces.append("[\n")
+            for i, item in enumerate(value):
+                pieces.append(pad + "  ")
+                dump(item, pieces, indent + 1)
+                pieces.append(",\n" if i + 1 < len(value) else "\n")
+            pieces.append(pad + "]")
+        elif isinstance(value, bool):
+            pieces.append("true" if value else "false")
+        elif isinstance(value, int):
+            pieces.append(str(value))
+        elif isinstance(value, float):
+            pieces.append(format_float(value))
+        elif isinstance(value, str):
+            pieces.append(json.dumps(value))
+        else:
+            assert value is None
+            pieces.append("null")
+
+    pieces: list[str] = []
+    dump(record, pieces, 0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+json_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    finite_doubles,
+    st.text(max_size=5),
+    st.none(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJson:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), json_values, max_size=5))
+    def test_matches_the_recursive_renderer(self, record):
+        assert dumps(record) == recursive_dumps(record)
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [],
+            [3],
+            list(range(-5, 20000)),
+            [True, False, 1, 0],
+            [1.0, 2, -0.0, 5e-324],
+            ["a", "", "\u00e9\n"],
+            [None, None],
+            [[], [1, [2.5, None]], {}, {"k": [True]}],
+            (1, "two", 3.0),
+        ],
+        ids=["empty", "one", "long-ints", "bools-ints", "floats-ints", "str", "none", "nested", "tuple"],
+    )
+    def test_lists_render_like_the_recursive_form(self, items):
+        record = {"items": items, "nest": {"deeper": [items, items]}}
+        assert dumps(record) == recursive_dumps(record)
+
+    @pytest.mark.parametrize("bad", [[1, np.int64(2)], [1.0, math.nan], [object()]])
+    def test_unsupported_items_still_raise(self, bad):
+        with pytest.raises(DomainError):
+            dumps({"items": bad})
