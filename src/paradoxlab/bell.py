@@ -144,9 +144,9 @@ def sample_pair(
     _check_pair(state)
     eye = qcore.identity(2).entries
     op_a = qcore.Operator(np.kron(a.observable().entries, eye), hermitian=True)
-    value_a, post, _ = qcore.measure(state, op_a, rng)
+    value_a, post = qcore.measure(state, op_a, rng)
     op_b = qcore.Operator(np.kron(eye, b.observable().entries), hermitian=True)
-    value_b, _, _ = qcore.measure(post, op_b, rng)
+    value_b, _ = qcore.measure(post, op_b, rng)
     return int(round(value_a)), int(round(value_b))
 
 

@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -296,15 +296,13 @@ def _base_record(cfg: RunConfig) -> dict:
     }
 
 
+def _fields(obj) -> dict:
+    """Field name -> value of a result dataclass; ``asdict`` would deep-copy each leaf."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _uncertainty_dict(report) -> dict:
-    return {
-        "delta_e": report.delta_e,
-        "delta_t": report.delta_t,
-        "product": report.product,
-        "threshold": report.threshold,
-        "satisfied": report.satisfied,
-        "apparent_violation": report.apparent_violation,
-    }
+    return {**_fields(report), "apparent_violation": report.apparent_violation}
 
 
 def _run_zeno_like(cfg: RunConfig):
@@ -320,13 +318,7 @@ def _run_zeno_like(cfg: RunConfig):
     result = runner(zcfg, NATURAL)
     record = _base_record(cfg)
     record["duration"] = zeno.period(zcfg, NATURAL)
-    record["result"] = {
-        "analytic_survival": result.analytic_survival,
-        "empirical_survival": result.empirical_survival,
-        "stderr": result.stderr,
-        "per_step_probability": result.per_step_probability,
-        "jump_times": list(result.jump_times),
-    }
+    record["result"] = _fields(result)
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg, NATURAL))
 
     sweep = _zeno_sweep(cfg.params)
@@ -353,13 +345,8 @@ def _run_bell(cfg: RunConfig):
     labels = ("ab", "apb", "apbp", "abp")
     record = _base_record(cfg)
     record["result"] = {
-        "exact_s": result.exact_s,
-        "estimated_s": result.estimated_s,
-        "stderr": result.stderr,
-        "exact_correlations": {
-            label: value for label, value in zip(labels, result.exact_correlations)
-        },
-        "counts": {label: dict(result.counts[label]) for label in labels},
+        **_fields(result),
+        "exact_correlations": dict(zip(labels, result.exact_correlations)),
         "local_deterministic_bound": bell.local_deterministic_bound(),
         "tsirelson_bound": bell.TSIRELSON,
     }
@@ -397,13 +384,8 @@ def _run_twoslit(cfg: RunConfig):
 
     record = _base_record(cfg)
     record["result"] = {
-        "fringe_spacing": spacing,
+        **_fields(report),
         "paraxial": geometry.paraxial,
-        "delta_p_threshold": report.delta_p_threshold,
-        "delta_p_s": report.delta_p_s,
-        "delta_x_s_min": report.delta_x_s_min,
-        "which_path_resolved": report.which_path_resolved,
-        "pattern_washed_out": report.pattern_washed_out,
         "smear_sigma_used": sigma_used,
         "visibility": twoslit.visibility(profile),
     }
@@ -446,10 +428,7 @@ def _run_cat(cfg: RunConfig):
     result = catlab.run_chain(chain_cfg)
     record = _base_record(cfg)
     amplitudes = [[amp.real, amp.imag] for amp in result.final_state.amplitudes.tolist()]
-    born = None
-    if result.born_frequencies is not None:
-        stats = result.born_frequencies
-        born = {"f_up": stats.f_up, "f_down": stats.f_down, "stderr": stats.stderr}
+    born = result.born_frequencies
     record["result"] = {
         "alpha": [alpha.real, alpha.imag],
         "beta": [beta.real, beta.imag],
@@ -458,7 +437,7 @@ def _run_cat(cfg: RunConfig):
         "global_purity": result.global_purity,
         "atom_entropy_bits": result.atom_entropy_bits,
         "branch_weights": list(result.branch_weights),
-        "born": born,
+        "born": None if born is None else born._asdict(),
         "no_collapse_witness": catlab.no_collapse_witness(result),
     }
     if chain_cfg.n_devices >= 2:
@@ -554,24 +533,21 @@ def _run_lightcone(cfg: RunConfig):
 
     record = _base_record(cfg)
     record["result"] = {
-        "a": {"t": a.t, "x": a.x},
-        "b": {"t": b.t, "x": b.x},
-        "interval_s2": report.interval_s2,
-        "interval_kind": report.interval_kind,
-        "admits_reversal": report.admits_reversal,
-        "orderings": [
-            {"velocity": o.velocity, "t_a": o.t_a, "t_b": o.t_b, "order": o.order}
-            for o in report.orderings
-        ],
+        **_fields(report),
+        "a": _fields(a),
+        "b": _fields(b),
+        "orderings": [_fields(ordering) for ordering in report.orderings],
     }
 
-    # row-major over (t, x); lo + i*step is the same IEEE arithmetic as a scalar loop
+    # row-major over (t, x); lo + i*step is the same IEEE arithmetic as a scalar loop.
+    # The region broadcasts the axes, so only the CSV columns repeat them per cell.
     n_t, n_x = _lightcone_grid(cfg.params)
     step = cfg.params["grid_step"]
-    t = np.repeat(cfg.params["grid_t_min"] + np.arange(n_t) * step, n_x)
-    x = np.tile(cfg.params["grid_x_min"] + np.arange(n_x) * step, n_t)
-    allowed = lightcone.collapse_region(t, x, a, b, NATURAL).astype(np.int8)
-    return record, [("lightcone_region.csv", ("t", "x", "allowed"), (t, x, allowed))]
+    t_axis = cfg.params["grid_t_min"] + np.arange(n_t) * step
+    x_axis = cfg.params["grid_x_min"] + np.arange(n_x) * step
+    allowed = lightcone.collapse_region(t_axis[:, None], x_axis[None, :], a, b, NATURAL)
+    columns = (np.repeat(t_axis, n_x), np.tile(x_axis, n_t), allowed.ravel().astype(np.int8))
+    return record, [("lightcone_region.csv", ("t", "x", "allowed"), columns)]
 
 
 @dataclass(frozen=True)

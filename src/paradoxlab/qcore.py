@@ -4,6 +4,8 @@ States, operators, tensor products, analytic single-qubit evolution,
 Born-rule projective measurement, density matrices, and entanglement
 diagnostics.  Everything is dense complex linear algebra with dimension
 capped at 16; all values are immutable after construction.
+`measure`, the only function that draws random numbers, is the one-sample
+reference for the experiments' bulk Monte Carlo kernels.
 
 Basis convention: |up> = (1, 0), |down> = (0, 1); Pauli matrices in the
 standard representation.
@@ -122,13 +124,6 @@ def make_state(dims: Sequence[int], amplitudes) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product state on the concatenated subsystem list."""
     return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.dims != b.dims:
-        raise DimensionError(f"dims {a.dims} and {b.dims} do not match")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -255,19 +250,6 @@ def eigen_projectors(
     return groups
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One projective outcome with its post-measurement state.
-
-    ``time`` is the logical simulation time supplied by the caller, so runs
-    stay reproducible.
-    """
-
-    eigenvalue: float
-    post_state: StateVector
-    time: float = 0.0
-
-
 def born_probabilities(
     state: StateVector, projectors: Iterable[tuple[float, np.ndarray]]
 ) -> list[tuple[float, float]]:
@@ -283,10 +265,8 @@ def born_probabilities(
     return pairs
 
 
-def measure(
-    state: StateVector, obs: Operator, rng: SeededStream, time: float = 0.0
-) -> tuple[float, StateVector, MeasurementRecord]:
-    """Sample one projective measurement of ``obs`` and collapse the state."""
+def measure(state: StateVector, obs: Operator, rng: SeededStream) -> tuple[float, StateVector]:
+    """One projective measurement of ``obs`` drawing one uniform: (eigenvalue, post state)."""
     if obs.dim != state.dim:
         raise DimensionError(f"operator dim {obs.dim} != state dim {state.dim}")
     projectors = eigen_projectors(obs)
@@ -302,7 +282,7 @@ def measure(
     value = pairs[index][0]
     projected = projectors[index][1] @ state.amplitudes
     post = StateVector(state.dims, projected / np.linalg.norm(projected))
-    return value, post, MeasurementRecord(value, post, time)
+    return value, post
 
 
 @dataclass(frozen=True)

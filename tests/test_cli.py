@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -278,6 +279,21 @@ class TestCsvContract:
         assert t.tolist() == ts
         assert x.tolist() == xs
         assert set(allowed.tolist()) <= {0, 1}
+
+    def test_lightcone_region_memory_bounded_by_its_columns(self):
+        # 787 x 1,349 = 1,061,663 cells.  The CSV columns take 17 bytes a cell
+        # (t and x as float64, allowed as int8); the region may add up to four
+        # bool grids.  Measured: 18.0 bytes a cell; evaluating the region on
+        # the repeated float64 columns instead peaked at 35.0.
+        cfg = parse_config(["experiment=lightcone", "grid_step=0.0089"])
+        n_t, n_x = cli._lightcone_grid(cfg.params)
+        tracemalloc.start()
+        try:
+            cli._run_lightcone(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (17 + 4) * n_t * n_x
 
     def test_formats_filter(self, tmp_path):
         cfg = parse_config(

@@ -8,9 +8,9 @@ them only for a deliberate, documented change of the output bytes:
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-That runs every case in-process through `paradoxlab.cli.main`.  Given a
-command, for example `python3 tests/test_golden.py paradox-lab`, it runs each
-case as `<command> <experiment> [key=value ...] --out <dir>` instead.
+That runs each case as `python3 -m paradoxlab.cli <experiment> [key=value ...]
+--out <dir>`.  A command given after the script name, for example the
+installed `paradox-lab`, takes the place of `python3 -m paradoxlab.cli`.
 """
 
 import os
@@ -39,9 +39,7 @@ VARIANT_CASES = {
     "lightcone-timelike": ("lightcone", "a_t=5", "a_x=0", "b_t=6", "b_x=0.5", "grid_step=0.5"),
     "lightcone-one-frame": ("lightcone", "velocities=0", "grid_step=0.5"),
     "zeno-short-sweep": ("zeno", "N=7", "trials=500", "sweep=3,7"),
-    "dual-zeno-short-sweep": (
-        "dual-zeno", "T=0.7", "B=2.5", "N=3", "trials=300", "sweep=1,3",
-    ),
+    "dual-zeno-short-sweep": ("dual-zeno", "T=0.7", "B=2.5", "N=3", "trials=300", "sweep=1,3"),
     "bell-odd-trials": ("bell", "trials=1001", "theta_a=0.3"),
 }
 
@@ -75,18 +73,14 @@ def test_variant_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
 
 
 def regenerate(command: list[str]) -> None:
-    """Rewrite every golden directory from scratch, through ``command`` if given."""
-    os.environ.pop("PARADOX_LAB_SEED", None)
+    """Rewrite every golden directory from scratch by running ``command`` on each case."""
+    env = {key: value for key, value in os.environ.items() if key != "PARADOX_LAB_SEED"}
     for root, cases in ((GOLDEN, GOLDEN_CASES), (VARIANTS, VARIANT_CASES)):
         for name, argv in cases.items():
             out = root / name
             shutil.rmtree(out, ignore_errors=True)
-            args = [*argv, "--out", str(out)]
-            if command:
-                subprocess.run([*command, *args], check=True)
-            elif main(args) != 0:
-                raise SystemExit(f"{name}: paradox-lab {' '.join(argv)} failed")
+            subprocess.run([*command, *argv, "--out", str(out)], check=True, env=env)
 
 
 if __name__ == "__main__":
-    regenerate(sys.argv[1:])
+    regenerate(sys.argv[1:] or [sys.executable, "-m", "paradoxlab.cli"])

@@ -106,7 +106,7 @@ class TestRunZeno:
             outcomes = []
             for _ in range(n):
                 state = qcore.evolve_spin(state, cfg.B, dt)
-                value, state, _ = qcore.measure(state, sx, master)
+                value, state = qcore.measure(state, sx, master)
                 outcomes.append(value)
             survived += all(v > 0 for v in outcomes)
         oracle = survived / trials
@@ -124,7 +124,7 @@ class TestRunZeno:
         theta = NATURAL.mu * cfg.B * dt / NATURAL.hbar
         explicit = np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / math.sqrt(2.0)
         target = qcore.StateVector((2,), explicit)
-        assert abs(abs(qcore.overlap(target, pre)) - 1.0) <= 1e-12
+        assert abs(abs(np.vdot(target.amplitudes, pre.amplitudes)) - 1.0) <= 1e-12
 
 
 class TestChunking:
@@ -222,7 +222,8 @@ class TestDualZeno:
             projected = plus_projector @ state.amplitudes
             state = qcore.StateVector((2,), projected / np.linalg.norm(projected))
         minus_x_plus_eigenstate = qcore.make_state((2,), (1.0, -1.0))
-        assert abs(abs(qcore.overlap(minus_x_plus_eigenstate, state)) - 1.0) <= 1e-12
+        overlap = np.vdot(minus_x_plus_eigenstate.amplitudes, state.amplitudes)
+        assert abs(abs(overlap) - 1.0) <= 1e-12
 
     def test_freezing_limit_empirical(self):
         result = zeno.run_dual_zeno(cfg_with(200, trials=2000, seed=77))
