@@ -3,14 +3,13 @@
 Exact finite-dimensional quantum mechanics plus seeded Monte Carlo
 experiments: two-slit complementarity, the field-measurement bound, the
 quantum Zeno effect, Bell/CHSH correlations, lightcone collapse geometry,
-and the premeasurement chain.  See the `paradox-lab` command for the
-experiment runner.
+and the premeasurement chain, all in natural units (hbar = c = mu = 1).
+See the `paradox-lab` command for the experiment runner.
 """
 
 __version__ = "0.1.0"
 
 from . import bell, bounds, catlab, lightcone, qcore, twoslit, zeno
-from .constants import NATURAL, PhysicalConstants
 from .errors import ParadoxLabError
 from .rng import SeededStream
 
@@ -23,8 +22,6 @@ __all__ = [
     "qcore",
     "twoslit",
     "zeno",
-    "NATURAL",
-    "PhysicalConstants",
     "ParadoxLabError",
     "SeededStream",
 ]

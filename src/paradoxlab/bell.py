@@ -24,6 +24,9 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 OUTCOMES = (-1, 1)
 
+# joint outcome cells of one setting pair, A's sign then B's; index 2*a_plus + b_plus
+CELLS = ("--", "-+", "+-", "++")
+
 
 @dataclass(frozen=True)
 class MeasurementSetting:
@@ -157,8 +160,8 @@ def _sample_counts(
     stream: SeededStream,
     n: int,
     first: int,
-) -> dict[tuple[int, int], int]:
-    """Tally ``n`` sequential-collapse samples using per-trial substreams.
+) -> dict[str, int]:
+    """Tally ``n`` sequential-collapse samples over ``CELLS``, using per-trial substreams.
 
     Trial i consumes two uniforms from substream (seed, first + i): one for
     the A outcome, one for the B outcome conditioned on it, with the
@@ -172,22 +175,12 @@ def _sample_counts(
 
     def worker(lo: int, hi: int) -> np.ndarray:
         u = stream.uniform_block(hi - lo, 2, first=first + lo)
-        a_minus = u[:, 0] < p_a_minus
-        b_minus = np.where(a_minus, u[:, 1] < cond_minus, u[:, 1] < cond_plus)
-        cells = np.empty(4, dtype=np.int64)
-        cells[0] = int(np.sum(a_minus & b_minus))
-        cells[1] = int(np.sum(a_minus & ~b_minus))
-        cells[2] = int(np.sum(~a_minus & b_minus))
-        cells[3] = int(np.sum(~a_minus & ~b_minus))
-        return cells
+        a_plus = u[:, 0] >= p_a_minus
+        b_plus = u[:, 1] >= np.where(a_plus, cond_plus, cond_minus)
+        return np.bincount(2 * a_plus + b_plus, minlength=4)
 
     totals = np.sum(run_chunks(n, worker, 2), axis=0)
-    return {
-        (-1, -1): int(totals[0]),
-        (-1, 1): int(totals[1]),
-        (1, -1): int(totals[2]),
-        (1, 1): int(totals[3]),
-    }
+    return dict(zip(CELLS, totals.tolist()))
 
 
 def chsh(
@@ -218,17 +211,12 @@ def chsh(
     for index, (label, sa, sb, sign) in enumerate(pairs):
         exact.append(correlation(state, sa, sb))
         tally = _sample_counts(state, sa, sb, rng, per_pair, first=index * per_pair)
-        agree = tally[(1, 1)] + tally[(-1, -1)]
-        disagree = tally[(1, -1)] + tally[(-1, 1)]
+        agree = tally["++"] + tally["--"]
+        disagree = tally["+-"] + tally["-+"]
         estimate = (agree - disagree) / per_pair
         estimated_s += sign * estimate
         variance += (1.0 - estimate**2) / per_pair
-        counts[label] = {
-            "--": tally[(-1, -1)],
-            "-+": tally[(-1, 1)],
-            "+-": tally[(1, -1)],
-            "++": tally[(1, 1)],
-        }
+        counts[label] = tally
     exact_s = exact[0] + exact[1] + exact[2] - exact[3]
     return ChshResult(
         exact_s=exact_s,

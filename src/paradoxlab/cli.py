@@ -27,8 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__, bell, bounds, catlab, lightcone, twoslit, zeno
-from .constants import NATURAL
-from .errors import ConfigError, ParadoxLabError
+from .errors import ConfigError, ParadoxLabError, ResolutionError
 from .montecarlo import DRAW_BUDGET
 from .rng import DEFAULT_SEED, MAX_SEED, SeededStream
 from .serialize import write_csv, write_json
@@ -231,6 +230,8 @@ def _parse_number_list(key: str, raw: str, kind: str) -> list:
         part = part.strip()
         if not part:
             continue
+        if kind == "int" and not _INT_RE.match(part):
+            raise ConfigError(f"key '{key}' has a malformed entry '{part}'")
         try:
             values.append(int(part) if kind == "int" else float(part))
         except ValueError:
@@ -315,15 +316,15 @@ def _run_zeno_like(cfg: RunConfig):
         trials=cfg.params["trials"],
         seed=cfg.seed,
     )
-    result = runner(zcfg, NATURAL)
+    result = runner(zcfg)
     record = _base_record(cfg)
-    record["duration"] = zeno.period(zcfg, NATURAL)
+    record["duration"] = zeno.period(zcfg)
     record["result"] = _fields(result)
-    record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg, NATURAL))
+    record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg))
 
     sweep = _zeno_sweep(cfg.params)
     # a sweep point at the main N is the main run again: same config, same bytes
-    points = [result if n == zcfg.N else runner(replace(zcfg, N=n), NATURAL) for n in sweep]
+    points = [result if n == zcfg.N else runner(replace(zcfg, N=n)) for n in sweep]
     columns = (
         sweep,
         [point.analytic_survival for point in points],
@@ -350,30 +351,39 @@ def _run_bell(cfg: RunConfig):
         "local_deterministic_bound": bell.local_deterministic_bound(),
         "tsirelson_bound": bell.TSIRELSON,
     }
-    cells = [(label, out_a, out_b) for label in labels for out_a in (-1, 1) for out_b in (-1, 1)]
-    sign = {-1: "-", 1: "+"}
-    counts = [result.counts[label][sign[out_a] + sign[out_b]] for label, out_a, out_b in cells]
-    pairs, outcomes_a, outcomes_b = zip(*cells)
-    return record, [
-        (
-            "bell_counts.csv",
-            ("pair", "outcome_a", "outcome_b", "count"),
-            (pairs, outcomes_a, outcomes_b, counts),
-        )
-    ]
+    rows = [(label, cell) for label in labels for cell in bell.CELLS]
+    # a cell's signs are the outcomes: "-+" is A = -1, B = +1
+    columns = (
+        [label for label, _ in rows],
+        [int(cell[0] + "1") for _, cell in rows],
+        [int(cell[1] + "1") for _, cell in rows],
+        [result.counts[label][cell] for label, cell in rows],
+    )
+    return record, [("bell_counts.csv", ("pair", "outcome_a", "outcome_b", "count"), columns)]
+
+
+def _geometry(params: dict) -> twoslit.TwoSlitGeometry:
+    keys = ("wavelength", "slit_separation", "screen_distance")
+    return twoslit.TwoSlitGeometry(*(params[key] for key in keys))
+
+
+def _check_twoslit(params: dict) -> None:
+    spacing = twoslit.fringe_spacing(_geometry(params))
+    grid, span_fringes = params["grid"], params["span_fringes"]
+    try:
+        twoslit.sample_points(spacing, grid, span_fringes * spacing)
+    except ResolutionError as error:
+        message = f"keys 'grid' = {grid} and 'span_fringes' = {span_fringes}: {error}"
+        raise ConfigError(message) from None
 
 
 def _run_twoslit(cfg: RunConfig):
-    geometry = twoslit.TwoSlitGeometry(
-        wavelength=cfg.params["wavelength"],
-        slit_separation=cfg.params["slit_separation"],
-        screen_distance=cfg.params["screen_distance"],
-    )
+    geometry = _geometry(cfg.params)
     spacing = twoslit.fringe_spacing(geometry)
     delta_p_s = cfg.params["delta_p_s"]
     if delta_p_s is None:
-        delta_p_s = twoslit.which_path_threshold(geometry, NATURAL)
-    report = twoslit.complementarity_report(geometry, delta_p_s, NATURAL)
+        delta_p_s = twoslit.which_path_threshold(geometry)
+    report = twoslit.complementarity_report(geometry, delta_p_s)
 
     grid = cfg.params["grid"]
     span = cfg.params["span_fringes"] * spacing
@@ -481,7 +491,7 @@ def _run_bounds(cfg: RunConfig):
     t_min = cfg.params["t_min"]
     t_max = cfg.params["t_max"]
     durations = np.geomspace(t_min, t_max, cfg.params["points"])
-    floors = bounds.landau_peierls_floors(durations, NATURAL)
+    floors = bounds.landau_peierls_floors(durations)
 
     record = _base_record(cfg)
     record["result"] = {
@@ -494,7 +504,7 @@ def _run_bounds(cfg: RunConfig):
     delta_e = cfg.params["delta_e"]
     delta_t = cfg.params["delta_t"]
     if delta_e is not None:
-        report = bounds.energy_time_product(delta_e, delta_t, NATURAL)
+        report = bounds.energy_time_product(delta_e, delta_t)
         record["result"]["energy_time"] = _uncertainty_dict(report)
     return record, [
         (
@@ -529,7 +539,7 @@ def _run_lightcone(cfg: RunConfig):
     a = lightcone.Event(cfg.params["a_t"], cfg.params["a_x"])
     b = lightcone.Event(cfg.params["b_t"], cfg.params["b_x"])
     velocities = _parse_number_list("velocities", cfg.params["velocities"], "float")
-    report = lightcone.ordering_report(a, b, velocities, NATURAL)
+    report = lightcone.ordering_report(a, b, velocities)
 
     record = _base_record(cfg)
     record["result"] = {
@@ -545,7 +555,7 @@ def _run_lightcone(cfg: RunConfig):
     step = cfg.params["grid_step"]
     t_axis = cfg.params["grid_t_min"] + np.arange(n_t) * step
     x_axis = cfg.params["grid_x_min"] + np.arange(n_x) * step
-    allowed = lightcone.collapse_region(t_axis[:, None], x_axis[None, :], a, b, NATURAL)
+    allowed = lightcone.collapse_region(t_axis[:, None], x_axis[None, :], a, b)
     columns = (np.repeat(t_axis, n_x), np.tile(x_axis, n_t), allowed.ravel().astype(np.int8))
     return record, [("lightcone_region.csv", ("t", "x", "allowed"), columns)]
 
@@ -564,7 +574,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "dual-zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _check_zeno),
     # two uniforms per trial: the A outcome, then B conditioned on it
     "bell": _Experiment(_BELL_KEYS, _run_bell, lambda params: _check_draws(params, 2)),
-    "twoslit": _Experiment(_TWOSLIT_KEYS, _run_twoslit),
+    "twoslit": _Experiment(_TWOSLIT_KEYS, _run_twoslit, _check_twoslit),
     "cat": _Experiment(_CAT_KEYS, _run_cat, _check_cat),
     "bounds": _Experiment(_BOUNDS_KEYS, _run_bounds, _check_bounds),
     "lightcone": _Experiment(_LIGHTCONE_KEYS, _run_lightcone, _check_lightcone),

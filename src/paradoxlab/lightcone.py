@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import NATURAL, PhysicalConstants
 from .errors import BoostError, DomainError
 
 A_FIRST = "a_first"
@@ -37,27 +36,24 @@ class Event:
 class Boost:
     """Velocity boost with its Lorentz factor."""
 
-    def __init__(self, v: float, k: PhysicalConstants = NATURAL):
-        beta = v / k.c
-        if not math.isfinite(beta) or abs(beta) >= 1.0 - 1e-12:
+    def __init__(self, v: float):
+        if not math.isfinite(v) or abs(v) >= 1.0 - 1e-12:
             raise BoostError(f"|v| must stay below c, got v = {v}")
         self.v = float(v)
-        self.gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+        self.gamma = 1.0 / math.sqrt(1.0 - v * v)
 
     def __repr__(self) -> str:
         return f"Boost(v={self.v}, gamma={self.gamma})"
 
 
-def interval(
-    e1: Event, e2: Event, k: PhysicalConstants = NATURAL
-) -> tuple[float, str]:
-    """Invariant interval c^2*dt^2 - dx^2 and its causal kind."""
+def interval(e1: Event, e2: Event) -> tuple[float, str]:
+    """Invariant interval dt^2 - dx^2 and its causal kind."""
     dt = e2.t - e1.t
     dx = e2.x - e1.x
-    ct2 = (k.c * dt) ** 2
+    dt2 = dt**2
     dx2 = dx**2
-    s2 = ct2 - dx2
-    if abs(s2) <= 1e-12 * max(ct2, dx2):
+    s2 = dt2 - dx2
+    if abs(s2) <= 1e-12 * max(dt2, dx2):
         kind = "lightlike"
     elif s2 > 0:
         kind = "timelike"
@@ -66,32 +62,28 @@ def interval(
     return s2, kind
 
 
-def in_past_cone(p: Event, apex: Event, k: PhysicalConstants = NATURAL) -> bool:
+def in_past_cone(p: Event, apex: Event) -> bool:
     """Closed past lightcone: p can causally influence the apex."""
-    return p.t <= apex.t and abs(p.x - apex.x) <= k.c * (apex.t - p.t)
+    return p.t <= apex.t and abs(p.x - apex.x) <= apex.t - p.t
 
 
-def collapse_allowed(
-    p: Event, a: Event, b: Event, k: PhysicalConstants = NATURAL
-) -> bool:
+def collapse_allowed(p: Event, a: Event, b: Event) -> bool:
     """Inside the intersection of the past cones of both measurement events."""
-    return in_past_cone(p, a, k) and in_past_cone(p, b, k)
+    return in_past_cone(p, a) and in_past_cone(p, b)
 
 
-def collapse_region(
-    t: np.ndarray, x: np.ndarray, a: Event, b: Event, k: PhysicalConstants = NATURAL
-) -> np.ndarray:
+def collapse_region(t: np.ndarray, x: np.ndarray, a: Event, b: Event) -> np.ndarray:
     """``collapse_allowed`` at every point (t[i], x[i]), by the same comparisons."""
 
     def past_cone(apex: Event) -> np.ndarray:
-        return (t <= apex.t) & (np.abs(x - apex.x) <= k.c * (apex.t - t))
+        return (t <= apex.t) & (np.abs(x - apex.x) <= apex.t - t)
 
     return past_cone(a) & past_cone(b)
 
 
-def boost(e: Event, frame: Boost, k: PhysicalConstants = NATURAL) -> Event:
+def boost(e: Event, frame: Boost) -> Event:
     """Lorentz transform into a frame moving at frame.v."""
-    t_prime = frame.gamma * (e.t - frame.v * e.x / k.c**2)
+    t_prime = frame.gamma * (e.t - frame.v * e.x)
     x_prime = frame.gamma * (e.x - frame.v * e.t)
     return Event(t_prime, x_prime)
 
@@ -112,24 +104,19 @@ class OrderingReport:
     admits_reversal: bool
 
 
-def ordering_report(
-    a: Event,
-    b: Event,
-    velocities: Sequence[float],
-    k: PhysicalConstants = NATURAL,
-) -> OrderingReport:
+def ordering_report(a: Event, b: Event, velocities: Sequence[float]) -> OrderingReport:
     """Time ordering of two events across a family of inertial frames.
 
     The interval kind is frame invariant; spacelike pairs can show either
     ordering depending on the frame, timelike pairs cannot.
     """
-    s2, kind = interval(a, b, k)
+    s2, kind = interval(a, b)
     orderings = []
     seen = set()
     for v in velocities:
-        frame = Boost(v, k)
-        t_a = boost(a, frame, k).t
-        t_b = boost(b, frame, k).t
+        frame = Boost(v)
+        t_a = boost(a, frame).t
+        t_b = boost(b, frame).t
         if t_a < t_b:
             order = A_FIRST
         elif t_b < t_a:

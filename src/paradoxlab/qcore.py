@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constants import NATURAL, PhysicalConstants
 from .errors import (
     DimensionError,
     DirectionError,
@@ -163,9 +162,7 @@ def spin_observable(n: SpinDirection) -> Operator:
     return Operator(mat, hermitian=True)
 
 
-def evolve_spin(
-    state: StateVector, B: float, t: float, k: PhysicalConstants = NATURAL
-) -> StateVector:
+def evolve_spin(state: StateVector, B: float, t: float) -> StateVector:
     """Evolve a single qubit under the precession Hamiltonian mu*B*sz.
 
     The up amplitude picks up exp(-i*mu*B*t/hbar) and the down amplitude
@@ -173,12 +170,12 @@ def evolve_spin(
     """
     if state.dims != (2,):
         raise DimensionError(f"evolve_spin needs a single qubit, got dims {state.dims}")
-    phase = k.mu * B * t / k.hbar
+    phase = B * t
     factors = np.array([np.exp(-1j * phase), np.exp(1j * phase)])
     return StateVector((2,), state.amplitudes * factors)
 
 
-def unitary_exp(H: Operator, t: float, k: PhysicalConstants = NATURAL) -> Operator:
+def unitary_exp(H: Operator, t: float) -> Operator:
     """exp(-i*H*t/hbar) for Hermitian H.
 
     Dimension 2 is computed analytically by splitting H = a*I + b*(n.sigma),
@@ -195,18 +192,18 @@ def unitary_exp(H: Operator, t: float, k: PhysicalConstants = NATURAL) -> Operat
         by = -mat[0, 1].imag
         bz = (mat[0, 0] - mat[1, 1]).real / 2.0
         b = math.sqrt(bx * bx + by * by + bz * bz)
-        phase = np.exp(-1j * a * t / k.hbar)
+        phase = np.exp(-1j * a * t)
         if b == 0.0:
             u = phase * np.eye(2, dtype=complex)
         else:
             axis = (bx * PAULI_X + by * PAULI_Y + bz * PAULI_Z) / b
-            theta = b * t / k.hbar
+            theta = b * t
             u = phase * (
                 math.cos(theta) * np.eye(2, dtype=complex) - 1j * math.sin(theta) * axis
             )
     else:
         w, v = np.linalg.eigh(mat)
-        u = (v * np.exp(-1j * w * t / k.hbar)) @ v.conj().T
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(u, unitary=True)
 
 

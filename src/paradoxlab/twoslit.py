@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import NATURAL, PhysicalConstants
+from .bounds import H
 from .errors import DomainError, GeometryError, ResolutionError
 
 KERNEL_REACH_SIGMAS = 8.0  # Gaussian truncation; residual mass < 1e-14
@@ -77,18 +77,16 @@ def fringe_spacing(g: TwoSlitGeometry) -> float:
     return g.wavelength * g.screen_distance / g.slit_separation
 
 
-def which_path_threshold(g: TwoSlitGeometry, k: PhysicalConstants = NATURAL) -> float:
+def which_path_threshold(g: TwoSlitGeometry) -> float:
     """Momentum accuracy needed to tell the slits apart: (d/L)*(h/lambda).
 
     The transverse-kick difference between the two paths is the longitudinal
     momentum h/lambda times d/L, so this threshold equals h/D.
     """
-    return (g.slit_separation / g.screen_distance) * (k.h / g.wavelength)
+    return (g.slit_separation / g.screen_distance) * (H / g.wavelength)
 
 
-def complementarity_report(
-    g: TwoSlitGeometry, delta_p_s: float, k: PhysicalConstants = NATURAL
-) -> ComplementarityReport:
+def complementarity_report(g: TwoSlitGeometry, delta_p_s: float) -> ComplementarityReport:
     """Which-path resolution versus washout for a momentum accuracy delta_p_s.
 
     Position uncertainty h/delta_p_s at or beyond one fringe spacing wipes
@@ -97,9 +95,9 @@ def complementarity_report(
     """
     if not (math.isfinite(delta_p_s) and delta_p_s > 0):
         raise DomainError(f"delta_p_s must be positive, got {delta_p_s}")
-    threshold = which_path_threshold(g, k)
+    threshold = which_path_threshold(g)
     spacing = fringe_spacing(g)
-    delta_x = k.h / delta_p_s
+    delta_x = H / delta_p_s
     resolved = delta_p_s <= threshold
     washed = delta_x >= spacing or resolved
     return ComplementarityReport(
@@ -110,6 +108,17 @@ def complementarity_report(
         which_path_resolved=resolved,
         pattern_washed_out=washed,
     )
+
+
+def sample_points(spacing: float, grid: int, span: float) -> np.ndarray:
+    """``pattern``'s ``grid`` positions across ``span``, spaced below ``spacing / 8``."""
+    xs = np.linspace(-span / 2.0, span / 2.0, grid)
+    dx, limit = xs[1] - xs[0], spacing / 8.0
+    if dx >= limit:
+        raise ResolutionError(
+            f"sample step {dx} must be below {limit}, an eighth of the fringe spacing {spacing}"
+        )
+    return xs
 
 
 def pattern(
@@ -132,12 +141,8 @@ def pattern(
         raise ResolutionError(f"grid must be >= 64, got {grid}")
     if span < 4.0 * spacing:
         raise ResolutionError(f"span {span} covers fewer than 4 fringes of {spacing}")
-    xs = np.linspace(-span / 2.0, span / 2.0, grid)
+    xs = sample_points(spacing, grid, span)
     dx = xs[1] - xs[0]
-    if dx >= spacing / 8.0:
-        raise ResolutionError(
-            f"sample step {dx} is too coarse for fringe spacing {spacing}"
-        )
     if smear_sigma == 0.0:
         intensities = 1.0 + np.cos(2.0 * math.pi * xs / spacing)
         return IntensityProfile(xs, intensities, spacing)

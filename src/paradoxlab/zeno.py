@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .bounds import UncertaintyReport, energy_time_product
-from .constants import NATURAL, PhysicalConstants
+from .bounds import H, UncertaintyReport, energy_time_product
 from .errors import DomainError
 from .montecarlo import run_chunks
 from .rng import DEFAULT_SEED, SeededStream, check_seed
@@ -58,32 +57,32 @@ class ZenoResult:
     jump_times: tuple[int, ...] | None = None
 
 
-def period(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> float:
+def period(cfg: ZenoConfig) -> float:
     """Total duration; defaults to a quarter precession period h/(4 mu B)."""
     if cfg.T is not None:
         return cfg.T
-    return k.h / (4.0 * k.mu * cfg.B)
+    return H / (4.0 * cfg.B)
 
 
-def survival_analytic(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> float:
+def survival_analytic(cfg: ZenoConfig) -> float:
     """cos(mu*B*T/(N*hbar)) ** (2N)."""
-    theta = k.mu * cfg.B * period(cfg, k) / (cfg.N * k.hbar)
+    theta = cfg.B * period(cfg) / cfg.N
     return math.cos(theta) ** (2 * cfg.N)
 
 
-def _step_probability(cfg: ZenoConfig, k: PhysicalConstants, dual: bool) -> float:
+def _step_probability(cfg: ZenoConfig, dual: bool) -> float:
     """Probability of the -1 outcome at the first measurement, hence at every one.
 
     ``zeno`` evolves |+x> for T/N and projects on the sigma_x spectrum;
     ``dual`` projects |+x> on the x-y axis at angle 2*mu*B*(T/N)/hbar.
     """
-    dt = period(cfg, k) / cfg.N
+    dt = period(cfg) / cfg.N
     state = qcore.make_state((2,), (1.0, 1.0))
     if dual:
-        axis = qcore.xy_axis(2.0 * k.mu * cfg.B * dt / k.hbar)
+        axis = qcore.xy_axis(2.0 * cfg.B * dt)
     else:
         axis = qcore.SpinDirection(1.0, 0.0, 0.0)
-        state = qcore.evolve_spin(state, cfg.B, dt, k)
+        state = qcore.evolve_spin(state, cfg.B, dt)
     projectors = qcore.eigen_projectors(qcore.spin_observable(axis))
     return float(qcore.born_probabilities(state, projectors)[0][1])
 
@@ -110,12 +109,12 @@ def _sample_survival(
     return survived, hist
 
 
-def _result(cfg: ZenoConfig, k: PhysicalConstants, dual: bool) -> ZenoResult:
-    p_minus = _step_probability(cfg, k, dual)
+def _result(cfg: ZenoConfig, dual: bool) -> ZenoResult:
+    p_minus = _step_probability(cfg, dual)
     survived, hist = _sample_survival(p_minus, cfg.N, cfg.trials, cfg.seed)
     empirical = survived / cfg.trials
     return ZenoResult(
-        analytic_survival=survival_analytic(cfg, k),
+        analytic_survival=survival_analytic(cfg),
         empirical_survival=empirical,
         stderr=math.sqrt(empirical * (1.0 - empirical) / cfg.trials),
         per_step_probability=1.0 - p_minus,
@@ -123,28 +122,26 @@ def _result(cfg: ZenoConfig, k: PhysicalConstants, dual: bool) -> ZenoResult:
     )
 
 
-def run_zeno(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> ZenoResult:
+def run_zeno(cfg: ZenoConfig) -> ZenoResult:
     """Monte Carlo of N sigma_x measurements on a spin precessing over T."""
-    return _result(cfg, k, dual=False)
+    return _result(cfg, dual=False)
 
 
-def run_dual_zeno(cfg: ZenoConfig, k: PhysicalConstants = NATURAL) -> ZenoResult:
+def run_dual_zeno(cfg: ZenoConfig) -> ZenoResult:
     """Monte Carlo of N rotating-axis measurements with H = 0.
 
     The axis at step k points at angle 2*mu*B*t_k/hbar in the x-y plane;
     consecutive axes differ by 2*mu*B*T/(N*hbar), so the survival law is
     identical to the in-field experiment.
     """
-    return _result(cfg, k, dual=True)
+    return _result(cfg, dual=True)
 
 
-def jump_resolution_report(
-    cfg: ZenoConfig, k: PhysicalConstants = NATURAL
-) -> UncertaintyReport:
+def jump_resolution_report(cfg: ZenoConfig) -> UncertaintyReport:
     """Energy-time product for jump timing resolved to T/N.
 
     The energy spread is capped by the level splitting 2*mu*B, while the
     jump time is pinned to within T/N, so dense measurement schedules give
     an apparent violation of the hbar/2 bound.
     """
-    return energy_time_product(2.0 * k.mu * cfg.B, period(cfg, k) / cfg.N, k)
+    return energy_time_product(2.0 * cfg.B, period(cfg) / cfg.N)

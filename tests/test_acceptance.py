@@ -15,10 +15,11 @@ import numpy as np
 
 from paradoxlab import bell, bounds, catlab, lightcone, qcore, twoslit, zeno
 from paradoxlab.cli import parse_config, run
-from paradoxlab.constants import NATURAL
 from paradoxlab.rng import SeededStream
 
 SEED = 0xC0FFEE
+
+H = 2.0 * math.pi  # Planck constant in natural units
 
 # cos(pi/20)**20, evaluated independently with 50-digit arithmetic
 SURVIVAL_N10 = 0.78054606978114017
@@ -124,11 +125,11 @@ def test_criterion_05_two_slit_washout():
             )
             threshold = twoslit.which_path_threshold(random_geometry)
             assert (
-                abs(threshold * twoslit.fringe_spacing(random_geometry) - NATURAL.h)
+                abs(threshold * twoslit.fringe_spacing(random_geometry) - H)
                 <= 1e-12
             )
             report = twoslit.complementarity_report(random_geometry, threshold)
-            assert abs(report.delta_x_s_min * report.delta_p_s - NATURAL.h) <= 1e-12
+            assert abs(report.delta_x_s_min * report.delta_p_s - H) <= 1e-12
 
 
 def test_criterion_06_cat_chain():

@@ -144,8 +144,9 @@ class TestSamplePair:
         trials = 100000
         counts = bell._sample_counts(state, a, b, SeededStream(17), trials, first=0)
         joint = bell.joint_probabilities(state, a, b)
+        cells = dict(zip(product((-1, 1), repeat=2), bell.CELLS))
         chi2 = sum(
-            (counts[key] - joint[key] * trials) ** 2 / (joint[key] * trials)
+            (counts[cells[key]] - joint[key] * trials) ** 2 / (joint[key] * trials)
             for key in joint
         )
         assert chi2 < 16.27  # chi-square 0.999 quantile, 3 degrees of freedom
@@ -232,8 +233,8 @@ class TestNoSignalling:
         counts_far = bell._sample_counts(
             state, a, bell.MeasurementSetting(2.0), SeededStream(43), trials, 0
         )
-        up_near = counts_near[(1, -1)] + counts_near[(1, 1)]
-        up_far = counts_far[(1, -1)] + counts_far[(1, 1)]
+        up_near = counts_near["+-"] + counts_near["++"]
+        up_far = counts_far["+-"] + counts_far["++"]
         stderr = math.sqrt(2 * trials * 0.25)
         assert abs(up_near - up_far) <= 4.0 * stderr
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from paradoxlab import bounds
-from paradoxlab.constants import PhysicalConstants
 from paradoxlab.errors import DomainError
 
 
@@ -27,12 +26,6 @@ class TestLandauPeierls:
         slope = np.polyfit(np.log(durations), np.log(values), 1)[0]
         assert abs(slope + 2.0) <= 1e-9
 
-    def test_custom_constants(self):
-        k = PhysicalConstants(hbar=4.0, c=2.0)
-        assert bounds.landau_peierls_min(1.0, k) == pytest.approx(
-            math.sqrt(8.0) / 4.0, rel=1e-15
-        )
-
     def test_nonpositive_duration(self):
         with pytest.raises(DomainError):
             bounds.landau_peierls_min(0.0)
@@ -41,13 +34,10 @@ class TestLandauPeierls:
 
 
 class TestLandauPeierlsFloors:
-    @pytest.mark.parametrize(
-        "k", [PhysicalConstants(), PhysicalConstants(hbar=4.0, c=2.0)], ids=["natural", "custom"]
-    )
-    def test_equals_the_scalar_bit_for_bit(self, k):
+    def test_equals_the_scalar_bit_for_bit(self):
         durations = np.geomspace(0.1, 100.0, 100_000)
-        floors = bounds.landau_peierls_floors(durations, k)
-        scalar = np.array([bounds.landau_peierls_min(t, k) for t in durations.tolist()])
+        floors = bounds.landau_peierls_floors(durations)
+        scalar = np.array([bounds.landau_peierls_min(t) for t in durations.tolist()])
         assert floors.dtype == np.float64
         np.testing.assert_array_equal(floors.view(np.uint64), scalar.view(np.uint64))
 

@@ -63,6 +63,7 @@ class TestParseConfig:
             ("0", "'sweep' entries must be >= 1, got 0"),
             ("5,-3", "'sweep' entries must be >= 1, got -3"),
             ("2,x", "malformed entry 'x'"),
+            ("1_0", "malformed entry '1_0'"),
             (" , ", "at least one value"),
         ],
     )
@@ -204,9 +205,9 @@ class TestJsonContract:
         original = getattr(zeno, name)
         calls = []
 
-        def counted(zcfg, k):
+        def counted(zcfg):
             calls.append(zcfg.N)
-            return original(zcfg, k)
+            return original(zcfg)
 
         monkeypatch.setattr(zeno, name, counted)
         tokens = [f"experiment={experiment}", "N=4", "trials=3000", "sweep=2,4,7"]
@@ -386,6 +387,11 @@ class TestMain:
             ),
             pytest.param(["bounds", "points=5000001"], "'points'", id="bounds-points-cap"),
             pytest.param(["twoslit", "grid=65537"], "'grid'", id="twoslit-grid-cap"),
+            pytest.param(
+                ["twoslit", "grid=64"],
+                "keys 'grid' = 64 and 'span_fringes' = 8.0",
+                id="twoslit-sample-step",
+            ),
         ],
     )
     def test_config_error_is_exit_two_before_any_work(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from paradoxlab import qcore
-from paradoxlab.constants import NATURAL, PhysicalConstants
 from paradoxlab.errors import (
     DimensionError,
     DirectionError,
@@ -129,7 +128,7 @@ class TestEvolveSpin:
         state = qcore.make_state((2,), (1.0, 1.0))
         B, t = 1.3, 0.7
         evolved = qcore.evolve_spin(state, B, t)
-        phase = NATURAL.mu * B * t / NATURAL.hbar
+        phase = B * t
         expected = np.array([np.exp(-1j * phase), np.exp(1j * phase)]) * INV_SQRT2
         np.testing.assert_allclose(evolved.amplitudes, expected, atol=1e-15)
 
@@ -140,18 +139,10 @@ class TestEvolveSpin:
 
     def test_quarter_period_reaches_minus_x(self):
         state = qcore.make_state((2,), (1.0, 1.0))
-        quarter = NATURAL.h / (4.0 * NATURAL.mu * 1.0)
+        quarter = math.pi / 2.0
         evolved = qcore.evolve_spin(state, 1.0, quarter)
         minus_x = qcore.make_state((2,), (1.0, -1.0))
         assert abs(abs(np.vdot(minus_x.amplitudes, evolved.amplitudes)) - 1.0) < 1e-12
-
-    def test_custom_constants(self):
-        k = PhysicalConstants(hbar=2.0, mu=0.5)
-        state = qcore.make_state((2,), (1.0, 1.0))
-        evolved = qcore.evolve_spin(state, 1.0, 1.0, k)
-        phase = 0.5 * 1.0 * 1.0 / 2.0
-        expected = np.array([np.exp(-1j * phase), np.exp(1j * phase)]) * INV_SQRT2
-        np.testing.assert_allclose(evolved.amplitudes, expected, atol=1e-15)
 
     def test_requires_qubit(self):
         with pytest.raises(DimensionError):
@@ -232,7 +223,7 @@ class TestExpectation:
         # <sx> after evolving (|up>+|down>)/sqrt(2) equals cos(2*mu*B*t/hbar)
         sx = qcore.spin_observable(qcore.SpinDirection(1.0, 0.0, 0.0))
         plus = qcore.make_state((2,), (1.0, 1.0))
-        quarter = NATURAL.h / 4.0
+        quarter = math.pi / 2.0
         for fraction, expected in ((1.0, -1.0), (0.5, 0.0), (0.25, math.cos(math.pi / 4))):
             evolved = qcore.evolve_spin(plus, 1.0, fraction * quarter)
             assert qcore.expectation(evolved, sx) == pytest.approx(expected, abs=1e-12)
@@ -372,23 +363,6 @@ class TestDensityMatrix:
             qcore.DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
         with pytest.raises(HermiticityError):
             qcore.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
-
-
-class TestPhysicalConstants:
-    def test_planck_constant_derived(self):
-        assert NATURAL.h == 2.0 * math.pi
-        custom = PhysicalConstants(hbar=3.0)
-        assert abs(custom.h / custom.hbar - 2.0 * math.pi) <= 1e-12
-
-    def test_positive_required(self):
-        from paradoxlab.errors import DomainError
-
-        with pytest.raises(DomainError):
-            PhysicalConstants(hbar=0.0)
-        with pytest.raises(DomainError):
-            PhysicalConstants(c=-1.0)
-        with pytest.raises(DomainError):
-            PhysicalConstants(mu=float("nan"))
 
 
 class TestNormDrift:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from paradoxlab import twoslit
-from paradoxlab.constants import NATURAL
 from paradoxlab.errors import DomainError, GeometryError, ResolutionError
+
+H = 2.0 * math.pi  # Planck constant in natural units
 
 GEOMETRY = twoslit.TwoSlitGeometry(
     wavelength=1.0, slit_separation=2.0, screen_distance=100.0
@@ -54,11 +55,11 @@ class TestWhichPathThreshold:
             )
             threshold = twoslit.which_path_threshold(geometry)
             spacing = twoslit.fringe_spacing(geometry)
-            assert abs(threshold * spacing - NATURAL.h) <= 1e-12
+            assert abs(threshold * spacing - H) <= 1e-12
 
     def test_transverse_kick_ratio(self):
         # momentum-difference over longitudinal momentum equals d/L
-        longitudinal = NATURAL.h / GEOMETRY.wavelength
+        longitudinal = H / GEOMETRY.wavelength
         ratio = twoslit.which_path_threshold(GEOMETRY) / longitudinal
         assert ratio == pytest.approx(
             GEOMETRY.slit_separation / GEOMETRY.screen_distance, rel=1e-14
@@ -68,14 +69,14 @@ class TestWhichPathThreshold:
 class TestComplementarityReport:
     def test_resolving_washes_out(self):
         spacing = twoslit.fringe_spacing(GEOMETRY)
-        report = twoslit.complementarity_report(GEOMETRY, NATURAL.h / (2.0 * spacing))
+        report = twoslit.complementarity_report(GEOMETRY, H / (2.0 * spacing))
         assert report.which_path_resolved
         assert report.pattern_washed_out
         assert report.delta_x_s_min == pytest.approx(2.0 * spacing, rel=1e-14)
 
     def test_coarse_measurement_preserves_fringes(self):
         spacing = twoslit.fringe_spacing(GEOMETRY)
-        report = twoslit.complementarity_report(GEOMETRY, 2.0 * NATURAL.h / spacing)
+        report = twoslit.complementarity_report(GEOMETRY, 2.0 * H / spacing)
         assert not report.which_path_resolved
         assert not report.pattern_washed_out
         assert report.delta_x_s_min == pytest.approx(spacing / 2.0, rel=1e-14)
@@ -92,7 +93,7 @@ class TestComplementarityReport:
         for _ in range(100):
             delta_p = rng.uniform(0.01, 10.0)
             report = twoslit.complementarity_report(GEOMETRY, delta_p)
-            assert abs(report.delta_x_s_min * delta_p - NATURAL.h) <= 1e-12
+            assert abs(report.delta_x_s_min * delta_p - H) <= 1e-12
 
     def test_never_resolved_without_washout(self):
         rng = np.random.default_rng(13)
@@ -142,7 +143,7 @@ class TestPattern:
         spacing = twoslit.fringe_spacing(GEOMETRY)
         threshold = twoslit.which_path_threshold(GEOMETRY)
         for factor in (1.0, 0.5, 0.25):
-            sigma = NATURAL.h / (threshold * factor)
+            sigma = H / (threshold * factor)
             profile = twoslit.pattern(GEOMETRY, sigma, grid=512, span=4.0 * spacing)
             assert twoslit.visibility(profile) <= 1e-6
 
@@ -168,6 +169,19 @@ class TestPattern:
         with pytest.raises(ResolutionError):
             # 64 samples over 16 fringes: more than D/8 per sample
             twoslit.pattern(GEOMETRY, 0.0, grid=64, span=16 * 50.0)
+
+    @pytest.mark.parametrize("grid", [64, 65, 66])
+    def test_sample_points_follow_the_pattern_rule(self, grid):
+        # 8 fringes of 50: the step 400/(grid - 1) must stay below 50/8 = 6.25
+        span = 8.0 * twoslit.fringe_spacing(GEOMETRY)
+        if grid == 66:
+            xs = twoslit.sample_points(50.0, grid, span)
+            np.testing.assert_array_equal(twoslit.pattern(GEOMETRY, 0.0, grid, span).xs, xs)
+            return
+        with pytest.raises(ResolutionError, match="must be below 6.25"):
+            twoslit.sample_points(50.0, grid, span)
+        with pytest.raises(ResolutionError, match="must be below 6.25"):
+            twoslit.pattern(GEOMETRY, 0.0, grid, span)
 
     def test_negative_smear_rejected(self):
         with pytest.raises(DomainError):

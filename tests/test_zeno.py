@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from paradoxlab import montecarlo, qcore, zeno
-from paradoxlab.constants import NATURAL
 from paradoxlab.errors import DomainError
 from paradoxlab.rng import SeededStream
 
@@ -19,24 +18,24 @@ def cfg_with(n, trials=1000, seed=101):
     return zeno.ZenoConfig(N=n, trials=trials, seed=seed)
 
 
-def reference_branch_law(cfg, dual, k=NATURAL):
+def reference_branch_law(cfg, dual):
     """Per-step -1 probability along the all-+1 branch, simulated step by step.
 
     The surviving trajectory goes through the generic machinery: evolve for
     T/N (or turn the measurement axis by 2*mu*B*(T/N)/hbar), take the Born
     probabilities, collapse onto the +1 eigenspace, repeat N times.
     """
-    dt = zeno.period(cfg, k) / cfg.N
+    dt = zeno.period(cfg) / cfg.N
     sx = qcore.eigen_projectors(qcore.spin_observable(qcore.SpinDirection(1.0, 0.0, 0.0)))
     p_minus = np.empty(cfg.N)
     state = qcore.make_state((2,), (1.0, 1.0))
     for step in range(cfg.N):
         if dual:
             t_k = (step + 1) * dt
-            angle = 2.0 * k.mu * cfg.B * t_k / k.hbar
+            angle = 2.0 * cfg.B * t_k
             projectors = qcore.eigen_projectors(qcore.spin_observable(qcore.xy_axis(angle)))
         else:
-            state = qcore.evolve_spin(state, cfg.B, dt, k)
+            state = qcore.evolve_spin(state, cfg.B, dt)
             projectors = sx
         p_minus[step] = qcore.born_probabilities(state, projectors)[0][1]
         surviving = projectors[1][1] @ state.amplitudes
@@ -47,7 +46,7 @@ def reference_branch_law(cfg, dual, k=NATURAL):
 class TestAnalyticLaw:
     def test_default_duration_sets_quarter_period(self):
         cfg = zeno.ZenoConfig()
-        assert zeno.period(cfg, NATURAL) == pytest.approx(math.pi / 2.0, abs=1e-15)
+        assert zeno.period(cfg) == pytest.approx(math.pi / 2.0, abs=1e-15)
 
     def test_landmark_values(self):
         assert zeno.survival_analytic(cfg_with(1)) == pytest.approx(0.0, abs=1e-12)
@@ -97,7 +96,7 @@ class TestRunZeno:
         # replay the experiment through the generic measurement path
         n, trials = 3, 3000
         cfg = cfg_with(n, trials=trials, seed=7)
-        dt = zeno.period(cfg, NATURAL) / n
+        dt = zeno.period(cfg) / n
         sx = qcore.spin_observable(qcore.SpinDirection(1.0, 0.0, 0.0))
         master = SeededStream(999)
         survived = 0
@@ -119,9 +118,9 @@ class TestRunZeno:
     def test_first_step_premeasurement_state_phases(self):
         # state just before the first measurement carries exp(-+ i*mu*B*T/(N*hbar))
         cfg = cfg_with(4)
-        dt = zeno.period(cfg, NATURAL) / cfg.N
+        dt = zeno.period(cfg) / cfg.N
         pre = qcore.evolve_spin(qcore.make_state((2,), (1.0, 1.0)), cfg.B, dt)
-        theta = NATURAL.mu * cfg.B * dt / NATURAL.hbar
+        theta = cfg.B * dt
         explicit = np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / math.sqrt(2.0)
         target = qcore.StateVector((2,), explicit)
         assert abs(abs(np.vdot(target.amplitudes, pre.amplitudes)) - 1.0) <= 1e-12
@@ -130,7 +129,7 @@ class TestRunZeno:
 class TestChunking:
     def test_worker_memory_bounded_by_the_draw_budget(self):
         # one 500-trial chunk of 20000 draws would hold an 80 MB uniform block
-        p_minus = zeno._step_probability(cfg_with(20000), NATURAL, dual=False)
+        p_minus = zeno._step_probability(cfg_with(20000), dual=False)
         tracemalloc.start()
         try:
             zeno._sample_survival(p_minus, 20000, 500, 3)
@@ -160,14 +159,14 @@ class TestStepLaw:
     def test_every_step_matches_the_first(self, n, field, dual):
         # the post-measurement state repeats, so one step fixes the whole branch
         cfg = zeno.ZenoConfig(N=n, trials=1, **field)
-        p_minus = zeno._step_probability(cfg, NATURAL, dual)
+        p_minus = zeno._step_probability(cfg, dual)
         reference = reference_branch_law(cfg, dual)
         assert np.max(np.abs(reference - p_minus)) <= 4 * 2.0**-53
 
     @pytest.mark.parametrize("dual", [False, True], ids=["zeno", "dual-zeno"])
     def test_first_step_is_the_reference_bit_for_bit(self, dual):
         cfg = zeno.ZenoConfig(N=9, B=1.3, T=2.0, trials=1)
-        p_minus = zeno._step_probability(cfg, NATURAL, dual)
+        p_minus = zeno._step_probability(cfg, dual)
         assert p_minus == reference_branch_law(cfg, dual)[0]
         runner = zeno.run_dual_zeno if dual else zeno.run_zeno
         assert runner(cfg).per_step_probability == 1.0 - p_minus
@@ -213,10 +212,10 @@ class TestDualZeno:
         # condition every measurement on +1: the final state must be the +1
         # eigenstate of the axis at angle 2*mu*B*T/hbar = pi, i.e. -x
         cfg = cfg_with(8)
-        duration = zeno.period(cfg, NATURAL)
+        duration = zeno.period(cfg)
         state = qcore.make_state((2,), (1.0, 1.0))
         for step in range(cfg.N):
-            angle = 2.0 * NATURAL.mu * cfg.B * (step + 1) * duration / (cfg.N * NATURAL.hbar)
+            angle = 2.0 * cfg.B * (step + 1) * duration / cfg.N
             observable = qcore.spin_observable(qcore.xy_axis(angle))
             _, plus_projector = qcore.eigen_projectors(observable)[1]
             projected = plus_projector @ state.amplitudes
