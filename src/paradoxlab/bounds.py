@@ -43,21 +43,16 @@ def landau_peierls_min(T: float) -> float:
 def landau_peierls_floors(durations: np.ndarray) -> np.ndarray:
     """``landau_peierls_min`` over an array of durations, bit for bit.
 
-    The durations are checked once; each floor is then the scalar expression
-    on Python floats, because numpy's power is not always bit-identical to
-    Python's ``**``.
+    The scalar runs on Python floats, because numpy's power is not always
+    bit-identical to Python's ``**``.
     """
     durations = np.asarray(durations, dtype=np.float64)
-    bad = ~(np.isfinite(durations) & (durations > 0))
-    if bad.any():
-        T = float(durations[bad][0])
-        raise DomainError(f"measurement duration must be positive, got {T}")
     n = len(durations)
     # Python floats a block at a time, never the whole array as a list
     values = chain.from_iterable(
         durations[lo : lo + _BLOCK].tolist() for lo in range(0, n, _BLOCK)
     )
-    return np.fromiter((1.0 / T**2 for T in values), np.float64, n)
+    return np.fromiter(map(landau_peierls_min, values), np.float64, n)
 
 
 def energy_time_product(delta_e: float, delta_t: float) -> UncertaintyReport:

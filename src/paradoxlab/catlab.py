@@ -21,7 +21,6 @@ from .montecarlo import run_chunks
 from .rng import DEFAULT_SEED, SeededStream, check_seed
 
 POINTER_READY = (1.0, 0.0)
-POINTER_FIRED = (0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__, bell, bounds, catlab, lightcone, twoslit, zeno
-from .errors import ConfigError, ParadoxLabError, ResolutionError
+from .errors import BoostError, ConfigError, ParadoxLabError, ResolutionError
 from .montecarlo import DRAW_BUDGET
 from .rng import DEFAULT_SEED, MAX_SEED, SeededStream
 from .serialize import write_csv, write_json
@@ -89,8 +89,9 @@ _CAT_KEYS = {
 }
 
 _BOUNDS_KEYS = {
-    "t_min": _KeySpec("float", 0.1, strictly_positive=True),
-    "t_max": _KeySpec("float", 100.0, strictly_positive=True),
+    # 1/T**2 stays a finite, nonzero double
+    "t_min": _KeySpec("float", 0.1, minimum=1e-150, maximum=1e150),
+    "t_max": _KeySpec("float", 100.0, minimum=1e-150, maximum=1e150),
     "points": _KeySpec("int", 25, minimum=2),
     "delta_e": _KeySpec("float", None, minimum=0.0),
     "delta_t": _KeySpec("float", None, minimum=0.0),
@@ -114,7 +115,6 @@ _LIGHTCONE_KEYS = {
 class RunConfig:
     experiment: str
     seed: int
-    trials: int
     params: dict[str, Any]
     output_dir: Path
     formats: tuple[str, ...]
@@ -139,31 +139,13 @@ def _convert(key: str, spec: _KeySpec, raw: str):
         value = lowered == "true"
     else:
         value = raw
-    if spec.kind in ("int", "float"):
-        if spec.strictly_positive and value <= 0:
-            raise ConfigError(f"key '{key}' must be positive, got {value}")
-        if spec.minimum is not None and value < spec.minimum:
-            raise ConfigError(f"key '{key}' must be >= {spec.minimum}, got {value}")
-        if spec.maximum is not None and value > spec.maximum:
-            raise ConfigError(f"key '{key}' must be <= {spec.maximum}, got {value}")
+    if spec.strictly_positive and value <= 0:
+        raise ConfigError(f"key '{key}' must be positive, got {value}")
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigError(f"key '{key}' must be >= {spec.minimum}, got {value}")
+    if spec.maximum is not None and value > spec.maximum:
+        raise ConfigError(f"key '{key}' must be <= {spec.maximum}, got {value}")
     return value
-
-
-def _split_pairs(source: str, where: str) -> list[tuple[str, str]]:
-    pairs = []
-    for line_number, line in enumerate(source.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{where} line {line_number}: expected key=value, got '{stripped}'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"{where} line {line_number}: empty key")
-        pairs.append((key, value))
-    return pairs
 
 
 def parse_config(
@@ -178,16 +160,17 @@ def parse_config(
     from the config ``text``.  Unknown keys, type mismatches and values the
     experiment's check rejects raise ConfigError.
     """
+    lines = enumerate((text or "").splitlines(), start=1)
+    items = [(f"config line {n}: ", line) for n, line in lines] + [("", t) for t in tokens or ()]
     raw: dict[str, str] = {}
-    if text is not None:
-        raw.update(_split_pairs(text, "config"))
-    for token in tokens or ():
-        if "=" not in token:
-            raise ConfigError(f"expected key=value, got '{token}'")
-        key, _, value = token.partition("=")
-        if not key:
-            raise ConfigError(f"empty key in '{token}'")
-        raw[key] = value
+    for where, item in items:
+        item = item.strip()
+        if not item or item.startswith("#"):
+            continue
+        key, equals, value = item.partition("=")
+        if not equals or not key.strip():
+            raise ConfigError(f"{where}expected key=value, got '{item}'")
+        raw[key.strip()] = value.strip()
 
     experiment = raw.pop("experiment", None)
     if experiment is None:
@@ -217,7 +200,6 @@ def parse_config(
     return RunConfig(
         experiment=experiment,
         seed=params["seed"],
-        trials=int(params.get("trials", 0) or 0),
         params=params,
         output_dir=Path(output_dir),
         formats=formats,
@@ -342,8 +324,8 @@ def _run_bell(cfg: RunConfig):
         cfg.params["theta_b"],
         cfg.params["theta_b_prime"],
     )
-    result = bell.chsh(bell.singlet(), settings, cfg.trials, SeededStream(cfg.seed))
-    labels = ("ab", "apb", "apbp", "abp")
+    result = bell.chsh(bell.singlet(), settings, cfg.params["trials"], SeededStream(cfg.seed))
+    labels = tuple(result.counts)  # chsh's pair order
     record = _base_record(cfg)
     record["result"] = {
         **_fields(result),
@@ -368,7 +350,12 @@ def _geometry(params: dict) -> twoslit.TwoSlitGeometry:
 
 
 def _check_twoslit(params: dict) -> None:
-    spacing = twoslit.fringe_spacing(_geometry(params))
+    geometry = _geometry(params)
+    spacing = twoslit.fringe_spacing(geometry)
+    threshold = twoslit.which_path_threshold(geometry)
+    if not (0.0 < spacing < math.inf and 0.0 < threshold < math.inf):
+        values = f"fringe spacing {spacing} and which-path threshold {threshold}"
+        raise ConfigError(f"{geometry} gives {values}, not both in (0, inf)")
     grid, span_fringes = params["grid"], params["span_fringes"]
     try:
         twoslit.sample_points(spacing, grid, span_fringes * spacing)
@@ -419,9 +406,13 @@ def _run_twoslit(cfg: RunConfig):
 def _normalized_pair(params: dict) -> tuple[complex, complex]:
     alpha = complex(params["alpha_re"], params["alpha_im"])
     beta = complex(params["beta_re"], params["beta_im"])
-    weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if weight == 0.0:
-        raise ConfigError("keys alpha_re, alpha_im, beta_re and beta_im cannot all be zero")
+    try:
+        weight = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        weight = math.inf
+    if not 0.0 < weight < math.inf:
+        pair = f"alpha = {alpha}, beta = {beta}: |alpha|^2 + |beta|^2 = {weight}, not in (0, inf)"
+        raise ConfigError(f"keys alpha_re, alpha_im, beta_re and beta_im give {pair}")
     scale = 1.0 / math.sqrt(weight)
     return alpha * scale, beta * scale
 
@@ -432,7 +423,7 @@ def _run_cat(cfg: RunConfig):
         alpha=alpha,
         beta=beta,
         n_devices=cfg.params["n_devices"],
-        trials=cfg.trials,
+        trials=cfg.params["trials"],
         seed=cfg.seed,
     )
     result = catlab.run_chain(chain_cfg)
@@ -454,7 +445,7 @@ def _run_cat(cfg: RunConfig):
         record["result"]["cat_branches"] = {"dead": "up", "live": "down"}
 
     csvs = []
-    if cfg.trials > 0:
+    if cfg.params["trials"] > 0:
         weights = (0.0, 0.25, 0.5, 0.75, 1.0)
         per_weight = [
             catlab.born_statistics(
@@ -462,7 +453,7 @@ def _run_cat(cfg: RunConfig):
                     alpha=math.sqrt(weight),
                     beta=math.sqrt(1.0 - weight),
                     n_devices=chain_cfg.n_devices,
-                    trials=cfg.trials,
+                    trials=cfg.params["trials"],
                     seed=(cfg.seed + index) % 2**64,
                 )
             )
@@ -483,6 +474,9 @@ def _check_bounds(params: dict) -> None:
         raise ConfigError(f"t_max must exceed t_min, got {params['t_min']}..{params['t_max']}")
     if (params["delta_e"] is None) != (params["delta_t"] is None):
         raise ConfigError("delta_e and delta_t must be given together")
+    if params["delta_e"] is not None and params["delta_e"] * params["delta_t"] == math.inf:
+        keys = f"keys 'delta_e' = {params['delta_e']} and 'delta_t' = {params['delta_t']}"
+        raise ConfigError(f"{keys}: their product overflows to inf")
     points = params["points"]
     _check_work(f"key 'points' = {points}", points, 1, "curve points", BOUNDS_MAX_POINTS)
 
@@ -531,7 +525,11 @@ def _lightcone_grid(params: dict) -> tuple[int, int]:
 
 
 def _check_lightcone(params: dict) -> None:
-    _parse_number_list("velocities", params["velocities"], "float")
+    for v in _parse_number_list("velocities", params["velocities"], "float"):
+        try:
+            lightcone.Boost(v)
+        except BoostError as error:
+            raise ConfigError(f"key 'velocities': {error}") from None
     _lightcone_grid(params)
 
 

@@ -106,12 +106,7 @@ def make_state(dims: Sequence[int], amplitudes) -> StateVector:
     Raises ZeroNormError on a zero vector and DimensionError when the
     amplitude count does not match the product of ``dims``.
     """
-    dims = tuple(int(d) for d in dims)
     amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 1 or amps.size != math.prod(dims):
-        raise DimensionError(
-            f"need {math.prod(dims)} amplitudes for dims {dims}, got {amps.size}"
-        )
     if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
         raise NumericalError("amplitudes must be finite")
     norm = np.linalg.norm(amps)

@@ -30,15 +30,6 @@ def format_float(value: float) -> str:
     return text
 
 
-def format_value(value) -> str:
-    """CSV cell rendering."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
 def _scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -51,6 +42,11 @@ def _scalar(value) -> str:
     if value is None:
         return "null"
     raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def format_value(value) -> str:
+    """CSV cell rendering: a string as it is, any other scalar as in JSON."""
+    return value if isinstance(value, str) else _scalar(value)
 
 
 def _render(value, indent: int) -> str:

@@ -58,19 +58,6 @@ class IntensityProfile:
     intensities: np.ndarray
     fringe_spacing: float
 
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        intensities = np.asarray(self.intensities, dtype=float)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "intensities", intensities)
-        if xs.ndim != 1 or xs.size != intensities.size or xs.size < 2:
-            raise ResolutionError("xs and intensities must be matching 1-D arrays")
-        steps = np.diff(xs)
-        if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise ResolutionError("xs must be strictly increasing with uniform spacing")
-        if np.min(intensities) < -1e-9:
-            raise DomainError("intensities must be nonnegative")
-
 
 def fringe_spacing(g: TwoSlitGeometry) -> float:
     """Dark-band separation D = wavelength * distance / slit separation."""

@@ -23,7 +23,7 @@ class TestParseConfig:
         cfg = parse_config(["experiment=zeno", "N=10", "trials=100000", "seed=42"])
         assert cfg.experiment == "zeno"
         assert cfg.seed == 42
-        assert cfg.trials == 100000
+        assert cfg.params["trials"] == 100000
         assert cfg.params["N"] == 10
 
     def test_defaults_filled(self):
@@ -76,6 +76,11 @@ class TestParseConfig:
         cfg = parse_config(["N=7"], text=text)
         assert cfg.params["N"] == 7
         assert cfg.params["trials"] == 500
+
+    def test_tokens_parse_like_config_lines(self):
+        text = "experiment=zeno\n N = 7 \n# N=3\n\n"
+        tokens = ["experiment=zeno", " N = 7 ", "# N=3", ""]
+        assert parse_config(tokens) == parse_config([], text=text)
 
     def test_malformed_config_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -325,7 +330,9 @@ class TestAllExperiments:
         assert (tmp_path / "result.json").exists()
 
     def test_runner_error_is_exit_one(self, tmp_path, capsys):
-        cfg = parse_config(["experiment=lightcone", "velocities=1.5"], output_dir=tmp_path)
+        # parse_config rejects this velocity, so it is set past the check
+        cfg = parse_config(["experiment=lightcone"], output_dir=tmp_path)
+        cfg = replace(cfg, params={**cfg.params, "velocities": "1.5"})
         assert run(cfg) == 1
         assert "v = 1.5" in capsys.readouterr().err
 
@@ -392,8 +399,31 @@ class TestMain:
                 "keys 'grid' = 64 and 'span_fringes' = 8.0",
                 id="twoslit-sample-step",
             ),
+            pytest.param(["cat", "alpha_re=1e300"], "alpha_re", id="cat-weight-overflow"),
+            pytest.param(
+                ["bounds", "t_min=1e-200", "t_max=1e-190"],
+                "'t_min' must be >= 1e-150",
+                id="bounds-t-underflow",
+            ),
+            pytest.param(
+                ["bounds", "t_min=1e200", "t_max=1e300"],
+                "'t_min' must be <= 1e+150",
+                id="bounds-t-overflow",
+            ),
+            pytest.param(["bounds", "t_max=1e300"], "'t_max' must be <= 1e+150", id="bounds-t-max"),
+            pytest.param(
+                ["twoslit", "wavelength=1e300", "screen_distance=1e300"],
+                "wavelength=1e+300, slit_separation=2.0, screen_distance=1e+300",
+                id="twoslit-spacing-overflow",
+            ),
+            pytest.param(
+                ["bounds", "delta_e=1e300", "delta_t=1e300"], "'delta_t'", id="bounds-product"
+            ),
+            pytest.param(["lightcone", "velocities=1.5"], "'velocities'", id="lightcone-v-c"),
+            pytest.param(["lightcone", "velocities=nan"], "'velocities'", id="lightcone-v-nan"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_config_error_is_exit_two_before_any_work(
         self, tmp_path, monkeypatch, capsys, tokens, key
     ):

@@ -115,6 +115,20 @@ class TestTables:
         assert text == expected_csv(header, columns)
         assert text.splitlines()[1] == "0.5,1,ab,true,7,false,0.25"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (True, "true"),
+            (-2, "-2"),
+            (0.1, "0.10000000000000001"),
+            (1e17, "1e+17"),
+            (-0.0, "-0.0"),
+        ],
+    )
+    def test_list_cell_and_json_scalar_share_one_text(self, tmp_path, value, text):
+        assert written(tmp_path, ["v"], [[value]]) == f"v\n{text}\n"
+        assert dumps({"v": value}) == f'{{\n  "v": {text}\n}}\n'
+
     @settings(max_examples=25, deadline=None, suppress_health_check=[TMP_PATH])
     @given(
         st.lists(

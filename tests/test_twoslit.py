@@ -199,11 +199,3 @@ class TestVisibility:
         profile = twoslit.IntensityProfile(xs, np.ones_like(xs), 50.0)
         with pytest.raises(ResolutionError):
             twoslit.visibility(profile)
-
-    def test_profile_validation(self):
-        with pytest.raises(ResolutionError):
-            twoslit.IntensityProfile(np.array([0.0, 1.0, 1.5]), np.ones(3), 1.0)
-        with pytest.raises(DomainError):
-            twoslit.IntensityProfile(
-                np.linspace(0, 1, 8), -np.ones(8), 1.0
-            )
