@@ -145,7 +145,7 @@ def sample_pair(
 ) -> tuple[int, int]:
     """One sequentially collapsed sample: measure wing A, then wing B."""
     _check_pair(state)
-    eye = qcore.identity(2).entries
+    eye = np.eye(2, dtype=complex)
     op_a = qcore.Operator(np.kron(a.observable().entries, eye), hermitian=True)
     value_a, post = qcore.measure(state, op_a, rng)
     op_b = qcore.Operator(np.kron(eye, b.observable().entries), hermitian=True)

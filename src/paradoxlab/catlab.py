@@ -21,6 +21,7 @@ from .montecarlo import run_chunks
 from .rng import DEFAULT_SEED, SeededStream, check_seed
 
 POINTER_READY = (1.0, 0.0)
+MAX_DEVICES = 3
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,9 @@ class ChainConfig:
         weight = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(weight - 1.0) > 1e-12:
             raise DomainError(f"|alpha|^2 + |beta|^2 = {weight}, must be 1")
-        if not 1 <= self.n_devices <= 3:
+        if not 1 <= self.n_devices <= MAX_DEVICES:
             raise DimensionError(
-                f"n_devices must be between 1 and 3, got {self.n_devices}"
+                f"n_devices must be between 1 and {MAX_DEVICES}, got {self.n_devices}"
             )
         if self.trials < 0:
             raise DomainError(f"trials must be nonnegative, got {self.trials}")
@@ -68,8 +69,8 @@ def premeasurement_unitary(n_systems: int) -> qcore.Operator:
     atom is |down>.  The atom itself never changes, and the action on the
     remaining basis states completes the map to a permutation.
     """
-    if not 2 <= n_systems <= 4:
-        raise DimensionError(f"n_systems must be between 2 and 4, got {n_systems}")
+    if not 2 <= n_systems <= MAX_DEVICES + 1:
+        raise DimensionError(f"n_systems must be between 2 and {MAX_DEVICES + 1}, got {n_systems}")
     n_pointers = n_systems - 1
     dim = 2**n_systems
     pointer_mask = (1 << n_pointers) - 1

@@ -72,10 +72,11 @@ _TWOSLIT_KEYS = {
     "wavelength": _KeySpec("float", 1.0, strictly_positive=True),
     "slit_separation": _KeySpec("float", 2.0, strictly_positive=True),
     "screen_distance": _KeySpec("float", 100.0, strictly_positive=True),
-    "delta_p_s": _KeySpec("float", None, strictly_positive=True),
+    # H / delta_p_s stays a finite double
+    "delta_p_s": _KeySpec("float", None, minimum=1e-300),
     # the direct convolution costs grid x kernel; 4x the benchmark's 16384
-    "grid": _KeySpec("int", 2048, minimum=64, maximum=65536),
-    "span_fringes": _KeySpec("float", 8.0, minimum=4.0),
+    "grid": _KeySpec("int", 2048, minimum=twoslit.MIN_GRID, maximum=65536),
+    "span_fringes": _KeySpec("float", 8.0, minimum=twoslit.MIN_SPAN_FRINGES),
     "sweep": _KeySpec("bool", True),
 }
 
@@ -84,7 +85,7 @@ _CAT_KEYS = {
     "alpha_im": _KeySpec("float", 0.0),
     "beta_re": _KeySpec("float", _INV_SQRT2),
     "beta_im": _KeySpec("float", 0.0),
-    "n_devices": _KeySpec("int", 1, minimum=1, maximum=3),
+    "n_devices": _KeySpec("int", 1, minimum=1, maximum=catlab.MAX_DEVICES),
     "trials": _KeySpec("int", 100000, minimum=0),
 }
 
@@ -98,10 +99,11 @@ _BOUNDS_KEYS = {
 }
 
 _LIGHTCONE_KEYS = {
-    "a_t": _KeySpec("float", 5.0),
-    "a_x": _KeySpec("float", -3.0),
-    "b_t": _KeySpec("float", 5.0),
-    "b_x": _KeySpec("float", 3.0),
+    # dt**2 and the boosted times (gamma <= 7.1e5 below c) stay finite doubles
+    "a_t": _KeySpec("float", 5.0, minimum=-1e150, maximum=1e150),
+    "a_x": _KeySpec("float", -3.0, minimum=-1e150, maximum=1e150),
+    "b_t": _KeySpec("float", 5.0, minimum=-1e150, maximum=1e150),
+    "b_x": _KeySpec("float", 3.0, minimum=-1e150, maximum=1e150),
     "velocities": _KeySpec("str", "-0.9,-0.5,0,0.5,0.9"),
     "grid_t_min": _KeySpec("float", -1.0),
     "grid_t_max": _KeySpec("float", 6.0),
@@ -564,7 +566,7 @@ class _Experiment:
     # -> (result record, [(CSV file name, header, one column per header name)])
     run: Callable[[RunConfig], tuple[dict, list]]
     # raises ConfigError on converted values that do not fit together
-    check: Callable[[dict], Any] = lambda params: None
+    check: Callable[[dict], Any]
 
 
 EXPERIMENTS: dict[str, _Experiment] = {

@@ -18,6 +18,8 @@ from .bounds import H
 from .errors import DomainError, GeometryError, ResolutionError
 
 KERNEL_REACH_SIGMAS = 8.0  # Gaussian truncation; residual mass < 1e-14
+MIN_GRID = 64
+MIN_SPAN_FRINGES = 4.0
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,12 @@ def pattern(
     spacing = fringe_spacing(g)
     if span is None:
         span = 8.0 * spacing
-    if grid < 64:
-        raise ResolutionError(f"grid must be >= 64, got {grid}")
-    if span < 4.0 * spacing:
-        raise ResolutionError(f"span {span} covers fewer than 4 fringes of {spacing}")
+    if grid < MIN_GRID:
+        raise ResolutionError(f"grid must be >= {MIN_GRID}, got {grid}")
+    if span < MIN_SPAN_FRINGES * spacing:
+        raise ResolutionError(
+            f"span {span} covers fewer than {MIN_SPAN_FRINGES:g} fringes of {spacing}"
+        )
     xs = sample_points(spacing, grid, span)
     dx = xs[1] - xs[0]
     if smear_sigma == 0.0:
@@ -136,7 +140,9 @@ def pattern(
     halfwidth = int(math.ceil(KERNEL_REACH_SIGMAS * smear_sigma / dx))
     offsets = np.arange(-halfwidth, grid + halfwidth) * dx + xs[0]
     ideal = 1.0 + np.cos(2.0 * math.pi * offsets / spacing)
-    kernel = np.exp(-0.5 * (np.arange(-halfwidth, halfwidth + 1) * dx / smear_sigma) ** 2)
+    # a square beyond the double range is weight exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (np.arange(-halfwidth, halfwidth + 1) * dx / smear_sigma) ** 2)
     kernel /= kernel.sum()
     intensities = np.convolve(ideal, kernel, mode="valid")
     return IntensityProfile(xs, np.maximum(intensities, 0.0), spacing)

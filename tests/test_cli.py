@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, determinism, and output formats."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -421,6 +422,31 @@ class TestMain:
             ),
             pytest.param(["lightcone", "velocities=1.5"], "'velocities'", id="lightcone-v-c"),
             pytest.param(["lightcone", "velocities=nan"], "'velocities'", id="lightcone-v-nan"),
+            pytest.param(
+                ["lightcone", "a_t=1e308", "b_t=-1e308"],
+                "'a_t' must be <= 1e+150",
+                id="lightcone-boost-overflow",
+            ),
+            pytest.param(
+                ["lightcone", "a_t=1e200", "b_t=-1e200"],
+                "'a_t' must be <= 1e+150",
+                id="lightcone-interval-overflow",
+            ),
+            pytest.param(
+                ["lightcone", "a_t=1e200", "velocities=0"],
+                "'a_t' must be <= 1e+150",
+                id="lightcone-one-time-overflow",
+            ),
+            pytest.param(
+                ["lightcone", "a_x=1e155", "b_x=-1e155", "velocities=0"],
+                "'a_x' must be <= 1e+150",
+                id="lightcone-x-overflow",
+            ),
+            pytest.param(
+                ["twoslit", "delta_p_s=1e-320"],
+                "'delta_p_s' must be >= 1e-300",
+                id="twoslit-delta-p-underflow",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -447,6 +473,24 @@ class TestMain:
         assert "70001 x 120001 = 8400190001 grid cells" in err
         assert str(cli.LIGHTCONE_MAX_CELLS) in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_twoslit_smear_runs_without_warnings(self, tmp_path, monkeypatch):
+        # the smear is about 6e-300, so the kernel's off-center squares overflow
+        # to weight 0; the digests are of the bytes written when that overflow warned
+        digests = {
+            "result.json": "405a4cbbd7a93c3e318990f6bbb950c4159f702ac6a8db1b7be5134051809208",
+            "twoslit_pattern.csv": (
+                "1fc72cffe2089a62bee06531802802b8a6ee6f9a273edc29f032933f253a14bb"
+            ),
+            "twoslit_visibility_sweep.csv": (
+                "0bdd7627efc77488f33fabf8528a843f916624cebeebd62dae11695256535b69"
+            ),
+        }
+        monkeypatch.delenv("PARADOX_LAB_SEED", raising=False)
+        assert main(["twoslit", "delta_p_s=1e300", "--out", str(tmp_path)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert written == digests
 
     def test_env_seed_reaches_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PARADOX_LAB_SEED", "321")

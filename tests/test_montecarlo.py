@@ -4,15 +4,15 @@ import pytest
 
 from paradoxlab import montecarlo
 from paradoxlab.errors import DomainError
-from paradoxlab.montecarlo import CHUNK_SIZE, DRAW_BUDGET, run_chunks
+from paradoxlab.montecarlo import DRAW_BUDGET, run_chunks
 
 
 def test_chunks_are_fixed_size_and_in_order():
-    n = 2 * CHUNK_SIZE + 5
+    n = 2 * DRAW_BUDGET + 5
     assert run_chunks(n, lambda lo, hi: (lo, hi)) == [
-        (0, CHUNK_SIZE),
-        (CHUNK_SIZE, 2 * CHUNK_SIZE),
-        (2 * CHUNK_SIZE, n),
+        (0, DRAW_BUDGET),
+        (DRAW_BUDGET, 2 * DRAW_BUDGET),
+        (2 * DRAW_BUDGET, n),
     ]
     assert run_chunks(0, lambda lo, hi: (lo, hi)) == []
 
@@ -20,9 +20,9 @@ def test_chunks_are_fixed_size_and_in_order():
 @pytest.mark.parametrize(
     "draws, rows",
     [
-        (1, CHUNK_SIZE),
-        (2, CHUNK_SIZE),
-        (32, CHUNK_SIZE),
+        (1, 2**19),
+        (2, 2**18),
+        (32, 2**14),
         (33, DRAW_BUDGET // 33),
         (64, 8192),
         (65, DRAW_BUDGET // 65),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from paradoxlab import qcore
+from paradoxlab import bell, qcore
 from paradoxlab.errors import (
     DimensionError,
     DirectionError,
@@ -242,6 +242,47 @@ class TestOperatorFlags:
     def test_unitary_flag_checked(self):
         with pytest.raises(UnitarityError):
             qcore.Operator(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
+
+    @pytest.mark.parametrize(
+        "bad", [complex(1.0, math.inf), complex(0.0, math.nan)], ids=["1+infj", "nanj"]
+    )
+    def test_nonfinite_imaginary_part_rejected(self, bad):
+        with pytest.raises(NumericalError, match="amplitudes must be finite"):
+            qcore.make_state((2,), (bad, 1.0))
+        with pytest.raises(NumericalError, match="amplitudes must be finite"):
+            qcore.StateVector((2,), np.array([bad, 0.0]))
+        with pytest.raises(NumericalError, match="entries must be finite"):
+            qcore.Operator(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_unflagged_hermitian_operators_work_in_each_consumer(self):
+        sy = qcore.spin_observable(qcore.SpinDirection(0.0, 1.0, 0.0))
+        unflagged = qcore.Operator(sy.entries)
+        state = qcore.make_state((2,), (0.6, 0.8j))
+        assert qcore.expectation(state, unflagged) == qcore.expectation(state, sy)
+        for (w1, p1), (w2, p2) in zip(
+            qcore.eigen_projectors(unflagged), qcore.eigen_projectors(sy)
+        ):
+            assert w1 == w2
+            np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(
+            qcore.unitary_exp(unflagged, 0.7).entries, qcore.unitary_exp(sy, 0.7).entries
+        )
+        with pytest.raises(HermiticityError):
+            qcore.eigen_projectors(qcore.Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+    def test_flagged_operators_are_checked_once(self, monkeypatch):
+        calls = []
+        check = qcore._check_hermitian
+
+        def counting(mat, what="operator"):
+            calls.append(what)
+            check(mat, what)
+
+        monkeypatch.setattr(qcore, "_check_hermitian", counting)
+        a, b = bell.MeasurementSetting(0.0), bell.MeasurementSetting(math.pi / 4.0)
+        bell.correlation(bell.singlet(), a, b)
+        # the two spin observables and their product, each where it is made
+        assert calls == ["operator flagged hermitian"] * 3
 
 
 class TestMeasure:
