@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError
-
-_BLOCK = 16384
 
 H = 2.0 * math.pi  # Planck constant h = 2*pi*hbar, with hbar = 1
 
@@ -47,12 +44,9 @@ def landau_peierls_floors(durations: np.ndarray) -> np.ndarray:
     bit-identical to Python's ``**``.
     """
     durations = np.asarray(durations, dtype=np.float64)
-    n = len(durations)
-    # Python floats a block at a time, never the whole array as a list
-    values = chain.from_iterable(
-        durations[lo : lo + _BLOCK].tolist() for lo in range(0, n, _BLOCK)
-    )
-    return np.fromiter(map(landau_peierls_min, values), np.float64, n)
+    # a memoryview yields one Python float at a time: no list of the whole array
+    floors = map(landau_peierls_min, memoryview(durations))
+    return np.fromiter(floors, np.float64, len(durations))
 
 
 def energy_time_product(delta_e: float, delta_t: float) -> UncertaintyReport:

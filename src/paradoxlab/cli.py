@@ -36,6 +36,16 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# Work budget: the most uniforms one Monte Carlo run may draw (over 400x the
+# 10M of the largest benchmark invocation), and the most region grid cells a
+# lightcone run may write (about 24x the 211k of grid_step=0.02; 4.8M cells
+# peaked near 190 MB of memory, mostly the grid's own arrays, and wrote a
+# 184 MB file).
+MAX_DRAWS = 2**32
+LIGHTCONE_MAX_CELLS = 5_000_000
+# one CSV row per point, the same table size as the lightcone region
+BOUNDS_MAX_POINTS = LIGHTCONE_MAX_CELLS
+
 
 @dataclass(frozen=True)
 class _KeySpec:
@@ -93,7 +103,7 @@ _BOUNDS_KEYS = {
     # 1/T**2 stays a finite, nonzero double
     "t_min": _KeySpec("float", 0.1, minimum=1e-150, maximum=1e150),
     "t_max": _KeySpec("float", 100.0, minimum=1e-150, maximum=1e150),
-    "points": _KeySpec("int", 25, minimum=2),
+    "points": _KeySpec("int", 25, minimum=2, maximum=BOUNDS_MAX_POINTS),
     "delta_e": _KeySpec("float", None, minimum=0.0),
     "delta_t": _KeySpec("float", None, minimum=0.0),
 }
@@ -111,6 +121,8 @@ _LIGHTCONE_KEYS = {
     "grid_x_max": _KeySpec("float", 6.0),
     "grid_step": _KeySpec("float", 0.25, strictly_positive=True),
 }
+# one entry of `velocities`; Boost checks |v| < 1
+_VELOCITY = _KeySpec("float", None)
 
 
 @dataclass(frozen=True)
@@ -148,6 +160,14 @@ def _convert(key: str, spec: _KeySpec, raw: str):
     if spec.maximum is not None and value > spec.maximum:
         raise ConfigError(f"key '{key}' must be <= {spec.maximum}, got {value}")
     return value
+
+
+def _convert_list(key: str, spec: _KeySpec, raw: str) -> list:
+    """``_convert`` on each comma-separated entry of ``raw``; blank entries are skipped."""
+    values = [_convert(key, spec, part.strip()) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise ConfigError(f"key '{key}' must list at least one value")
+    return values
 
 
 def parse_config(
@@ -194,8 +214,8 @@ def parse_config(
     if env and "PARADOX_LAB_SEED" in env:
         params["seed"] = _convert("PARADOX_LAB_SEED", schema["seed"], env["PARADOX_LAB_SEED"])
 
-    formats = tuple(part.strip() for part in str(params["formats"]).split(",") if part.strip())
-    if not formats or any(fmt not in ("json", "csv") for fmt in formats):
+    formats = tuple(_convert_list("formats", _COMMON["formats"], params["formats"]))
+    if any(fmt not in ("json", "csv") for fmt in formats):
         raise ConfigError(f"formats must be a subset of json,csv, got '{params['formats']}'")
     EXPERIMENTS[experiment].check(params)
 
@@ -206,44 +226,6 @@ def parse_config(
         output_dir=Path(output_dir),
         formats=formats,
     )
-
-
-def _parse_number_list(key: str, raw: str, kind: str) -> list:
-    values = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if kind == "int" and not _INT_RE.match(part):
-            raise ConfigError(f"key '{key}' has a malformed entry '{part}'")
-        try:
-            values.append(int(part) if kind == "int" else float(part))
-        except ValueError:
-            raise ConfigError(f"key '{key}' has a malformed entry '{part}'") from None
-    if not values:
-        raise ConfigError(f"key '{key}' must list at least one value")
-    return values
-
-
-def _zeno_sweep(params: dict) -> list[int]:
-    values = _parse_number_list("sweep", params["sweep"], "int")
-    for n in values:
-        if n < 1:
-            raise ConfigError(f"key 'sweep' entries must be >= 1, got {n}")
-        if n > DRAW_BUDGET:
-            raise ConfigError(f"key 'sweep' entries must be <= {DRAW_BUDGET}, got {n}")
-    return values
-
-
-# Work budget: the most uniforms one Monte Carlo run may draw (over 400x the
-# 10M of the largest benchmark invocation), and the most region grid cells a
-# lightcone run may write (about 24x the 211k of grid_step=0.02; 4.8M cells
-# peaked near 190 MB of memory, mostly the grid's own arrays, and wrote a
-# 184 MB file).
-MAX_DRAWS = 2**32
-LIGHTCONE_MAX_CELLS = 5_000_000
-# one CSV row per point, the same table size as the lightcone region
-BOUNDS_MAX_POINTS = LIGHTCONE_MAX_CELLS
 
 
 def _check_work(subject: str, factor: int, per: int, unit: str, limit: int) -> None:
@@ -261,7 +243,12 @@ def _check_draws(params: dict, per_trial: int, detail: str = "") -> None:
 
 
 def _check_zeno(params: dict) -> None:
-    per_trial = params["N"] + sum(_zeno_sweep(params))
+    B, T = params["B"], params["T"]
+    # the whole precession angle; each step's angle and phase is a part of it
+    angle = (2.0 * B) * zeno.period(zeno.ZenoConfig(B, T))
+    if not math.isfinite(angle):
+        raise ConfigError(f"keys 'B' = {B} and 'T' = {T} give 2 B T = {angle}, not finite")
+    per_trial = params["N"] + sum(_convert_list("sweep", _ZENO_KEYS["N"], params["sweep"]))
     _check_draws(params, per_trial, f" with N + sum(sweep) = {per_trial}")
 
 
@@ -306,7 +293,7 @@ def _run_zeno_like(cfg: RunConfig):
     record["result"] = _fields(result)
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg))
 
-    sweep = _zeno_sweep(cfg.params)
+    sweep = _convert_list("sweep", _ZENO_KEYS["N"], cfg.params["sweep"])
     # a sweep point at the main N is the main run again: same config, same bytes
     points = [result if n == zcfg.N else runner(replace(zcfg, N=n)) for n in sweep]
     columns = (
@@ -359,8 +346,11 @@ def _check_twoslit(params: dict) -> None:
         values = f"fringe spacing {spacing} and which-path threshold {threshold}"
         raise ConfigError(f"{geometry} gives {values}, not both in (0, inf)")
     grid, span_fringes = params["grid"], params["span_fringes"]
+    span = span_fringes * spacing
+    if not math.isfinite(span):
+        raise ConfigError(f"key 'span_fringes' = {span_fringes} gives a span {span}, not finite")
     try:
-        twoslit.sample_points(spacing, grid, span_fringes * spacing)
+        twoslit.sample_points(spacing, grid, span)
     except ResolutionError as error:
         message = f"keys 'grid' = {grid} and 'span_fringes' = {span_fringes}: {error}"
         raise ConfigError(message) from None
@@ -409,6 +399,10 @@ def _normalized_pair(params: dict) -> tuple[complex, complex]:
     alpha = complex(params["alpha_re"], params["alpha_im"])
     beta = complex(params["beta_re"], params["beta_im"])
     try:
+        # a pair whose squares would leave the normal doubles is scaled to magnitude 1
+        largest = max(abs(alpha), abs(beta))
+        if 0.0 < largest < 1e-150:
+            alpha, beta = alpha / largest, beta / largest
         weight = abs(alpha) ** 2 + abs(beta) ** 2
     except OverflowError:
         weight = math.inf
@@ -479,8 +473,6 @@ def _check_bounds(params: dict) -> None:
     if params["delta_e"] is not None and params["delta_e"] * params["delta_t"] == math.inf:
         keys = f"keys 'delta_e' = {params['delta_e']} and 'delta_t' = {params['delta_t']}"
         raise ConfigError(f"{keys}: their product overflows to inf")
-    points = params["points"]
-    _check_work(f"key 'points' = {points}", points, 1, "curve points", BOUNDS_MAX_POINTS)
 
 
 def _run_bounds(cfg: RunConfig):
@@ -520,14 +512,15 @@ def _lightcone_grid(params: dict) -> tuple[int, int]:
         if hi <= lo:
             raise ConfigError(f"grid_{axis}_max must exceed grid_{axis}_min, got {lo}..{hi}")
         steps = (hi - lo) / step + 1e-9
-        sizes.append(math.floor(steps) + 1 if math.isfinite(steps) else steps)
+        # a count beyond 2**53 stays a float, so the message stays short
+        sizes.append(math.floor(steps) + 1 if steps < 2**53 else steps)
     n_t, n_x = sizes
     _check_work(f"key 'grid_step' = {step}", n_t, n_x, "grid cells", LIGHTCONE_MAX_CELLS)
     return n_t, n_x
 
 
 def _check_lightcone(params: dict) -> None:
-    for v in _parse_number_list("velocities", params["velocities"], "float"):
+    for v in _convert_list("velocities", _VELOCITY, params["velocities"]):
         try:
             lightcone.Boost(v)
         except BoostError as error:
@@ -538,7 +531,7 @@ def _check_lightcone(params: dict) -> None:
 def _run_lightcone(cfg: RunConfig):
     a = lightcone.Event(cfg.params["a_t"], cfg.params["a_x"])
     b = lightcone.Event(cfg.params["b_t"], cfg.params["b_x"])
-    velocities = _parse_number_list("velocities", cfg.params["velocities"], "float")
+    velocities = _convert_list("velocities", _VELOCITY, cfg.params["velocities"])
     report = lightcone.ordering_report(a, b, velocities)
 
     record = _base_record(cfg)

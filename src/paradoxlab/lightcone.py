@@ -42,9 +42,6 @@ class Boost:
         self.v = float(v)
         self.gamma = 1.0 / math.sqrt(1.0 - v * v)
 
-    def __repr__(self) -> str:
-        return f"Boost(v={self.v}, gamma={self.gamma})"
-
 
 def interval(e1: Event, e2: Event) -> tuple[float, str]:
     """Invariant interval dt^2 - dx^2 and its causal kind."""

@@ -171,36 +171,14 @@ def evolve_spin(state: StateVector, B: float, t: float) -> StateVector:
 
 
 def unitary_exp(H: Operator, t: float) -> Operator:
-    """exp(-i*H*t/hbar) for Hermitian H.
-
-    Dimension 2 is computed analytically by splitting H = a*I + b*(n.sigma),
-    so that U = exp(-i*a*t/hbar) * (cos(b*t/hbar)*I - i*sin(b*t/hbar)*(n.sigma)).
-    Larger dimensions (up to 16) go through a Hermitian eigendecomposition.
-    """
+    """exp(-i*H*t/hbar) for Hermitian H, by Hermitian eigendecomposition."""
     mat = H.entries
     if not H.hermitian:
         _check_hermitian(mat)
     if H.dim > MAX_DIM:
         raise DimensionError(f"dimension {H.dim} exceeds the cap of {MAX_DIM}")
-    if H.dim == 2:
-        a = (mat[0, 0] + mat[1, 1]).real / 2.0
-        bx = mat[0, 1].real
-        by = -mat[0, 1].imag
-        bz = (mat[0, 0] - mat[1, 1]).real / 2.0
-        b = math.sqrt(bx * bx + by * by + bz * bz)
-        phase = np.exp(-1j * a * t)
-        if b == 0.0:
-            u = phase * np.eye(2, dtype=complex)
-        else:
-            axis = (bx * PAULI_X + by * PAULI_Y + bz * PAULI_Z) / b
-            theta = b * t
-            u = phase * (
-                math.cos(theta) * np.eye(2, dtype=complex) - 1j * math.sin(theta) * axis
-            )
-    else:
-        w, v = np.linalg.eigh(mat)
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(u, unitary=True)
+    w, v = np.linalg.eigh(mat)
+    return Operator((v * np.exp(-1j * w * t)) @ v.conj().T, unitary=True)
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:
@@ -222,12 +200,10 @@ def expectation(state: StateVector, obs: Operator) -> float:
     return value.real
 
 
-def eigen_projectors(
-    obs: Operator, merge_tol: float = DEGENERACY_TOL
-) -> list[tuple[float, np.ndarray]]:
+def eigen_projectors(obs: Operator) -> list[tuple[float, np.ndarray]]:
     """(eigenvalue, projector) pairs in ascending eigenvalue order.
 
-    Eigenvalues within ``merge_tol`` of their neighbor are merged into a
+    Eigenvalues within ``DEGENERACY_TOL`` of their neighbor are merged into a
     single projector so numerically degenerate spectra do not split the
     Born probabilities.
     """
@@ -237,7 +213,7 @@ def eigen_projectors(
     groups: list[tuple[float, np.ndarray]] = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > merge_tol:
+        if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
             block = v[:, start:i]
             value = float(np.mean(w[start:i]))
             groups.append((value, block @ block.conj().T))

@@ -103,7 +103,7 @@ def sample_points(spacing: float, grid: int, span: float) -> np.ndarray:
     """``pattern``'s ``grid`` positions across ``span``, spaced below ``spacing / 8``."""
     xs = np.linspace(-span / 2.0, span / 2.0, grid)
     dx, limit = xs[1] - xs[0], spacing / 8.0
-    if dx >= limit:
+    if not dx < limit:
         raise ResolutionError(
             f"sample step {dx} must be below {limit}, an eighth of the fringe spacing {spacing}"
         )

@@ -1,6 +1,7 @@
 """Field-measurement floor and energy-time inequality arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ class TestLandauPeierlsFloors:
 
     def test_empty(self):
         assert bounds.landau_peierls_floors(np.array([])).shape == (0,)
+
+    def test_peak_memory_is_the_output_array(self):
+        # floors are made one Python float at a time: a list of just 16,384 of
+        # the durations would hold 525 KB beyond the 1.6 MB output
+        durations = np.geomspace(0.1, 100.0, 200_000)
+        tracemalloc.start()
+        try:
+            floors = bounds.landau_peierls_floors(durations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= floors.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_first_bad_duration_raises_like_the_scalar(self, bad):

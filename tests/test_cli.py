@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import re
+import shutil
 import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paradoxlab import cli, zeno
 from paradoxlab.cli import DEFAULT_SEED, main, parse_config, run
@@ -61,10 +65,20 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "sweep, message",
         [
-            ("0", "'sweep' entries must be >= 1, got 0"),
-            ("5,-3", "'sweep' entries must be >= 1, got -3"),
-            ("2,x", "malformed entry 'x'"),
-            ("1_0", "malformed entry '1_0'"),
+            pytest.param(
+                "0", "key 'sweep' must be >= 1, got 0", id="0-'sweep' entries must be >= 1, got 0"
+            ),
+            pytest.param(
+                "5,-3",
+                "key 'sweep' must be >= 1, got -3",
+                id="5,-3-'sweep' entries must be >= 1, got -3",
+            ),
+            pytest.param(
+                "2,x", "key 'sweep' expects an integer, got 'x'", id="2,x-malformed entry 'x'"
+            ),
+            pytest.param(
+                "1_0", "key 'sweep' expects an integer, got '1_0'", id="1_0-malformed entry '1_0'"
+            ),
             (" , ", "at least one value"),
         ],
     )
@@ -111,7 +125,7 @@ class TestParseConfig:
         parse_config([f"experiment={experiment}", f"N={cap}", "trials=1", f"sweep={cap}"])
         with pytest.raises(ConfigError, match=f"key 'N' must be <= {cap}, got {cap + 1}"):
             parse_config([f"experiment={experiment}", f"N={cap + 1}", "trials=1"])
-        with pytest.raises(ConfigError, match=f"'sweep' entries must be <= {cap}, got {cap + 1}"):
+        with pytest.raises(ConfigError, match=f"key 'sweep' must be <= {cap}, got {cap + 1}"):
             parse_config([f"experiment={experiment}", "trials=1", f"sweep=1,{cap + 1}"])
 
     @pytest.mark.parametrize(
@@ -447,6 +461,29 @@ class TestMain:
                 "'delta_p_s' must be >= 1e-300",
                 id="twoslit-delta-p-underflow",
             ),
+            pytest.param(
+                ["zeno", "B=1e-320"], "keys 'B' = 1e-320 and 'T' = None", id="zeno-period-overflow"
+            ),
+            pytest.param(
+                ["zeno", "B=1e308", "T=1e-300"],
+                "keys 'B' = 1e+308 and 'T' = 1e-300",
+                id="zeno-angle-overflow",
+            ),
+            pytest.param(
+                ["dual-zeno", "B=1e300", "T=1e150"],
+                "keys 'B' = 1e+300 and 'T' = 1e+150",
+                id="dual-zeno-axis-overflow",
+            ),
+            pytest.param(
+                ["twoslit", "wavelength=1e300", "screen_distance=0.5", "span_fringes=1e150"],
+                "key 'span_fringes' = 1e+150",
+                id="twoslit-span-nan-step",
+            ),
+            pytest.param(
+                ["twoslit", "slit_separation=1e-160", "span_fringes=1e300"],
+                "key 'span_fringes' = 1e+300",
+                id="twoslit-span-overflow",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -474,6 +511,26 @@ class TestMain:
         assert str(cli.LIGHTCONE_MAX_CELLS) in err
         assert not out.exists()
 
+    def test_far_lightcone_grid_message_is_short(self, tmp_path, capsys):
+        # about 8e300 points along t: an exact integer count would print 300 digits
+        out = tmp_path / "out"
+        tokens = ["lightcone", "grid_t_min=-1e300", "grid_t_max=1e300", "--out", str(out)]
+        assert main(tokens) == 2
+        err = capsys.readouterr().err
+        assert "grid_step" in err
+        assert len(err.encode()) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha_re", ["1e-160", "1e-200"])
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_cat_amplitudes_run(self, tmp_path, alpha_re):
+        # |alpha|^2 is subnormal or zero; the pair is scaled before it is squared
+        tokens = ["cat", f"alpha_re={alpha_re}", "beta_re=0", "trials=10", "--out", str(tmp_path)]
+        assert main(tokens) == 0
+        result = read_json(tmp_path / "result.json")["result"]
+        assert result["alpha"] == [1.0, 0.0]
+        assert result["beta"] == [0.0, 0.0]
+
     @pytest.mark.filterwarnings("error")
     def test_vanishing_twoslit_smear_runs_without_warnings(self, tmp_path, monkeypatch):
         # the smear is about 6e-300, so the kernel's off-center squares overflow
@@ -499,3 +556,90 @@ class TestMain:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+# each example reuses one output directory in tmp_path
+TMP_PATH = HealthCheck.function_scoped_fixture
+
+# zero, the smallest subnormal, the edges of the normal squares and of the
+# doubles, and the non-finite strings
+EXTREMES = ["0", "nan", "inf"] + [
+    f"{sign}{v}" for v in ("5e-324", "1e-300", "1e-160", "1", "1e150", "1e300") for sign in "+-"
+]
+# integer keys, small so that every accepted run is cheap; each range reaches
+# just past its lower limit
+INTS = {
+    "trials": st.integers(0, 20),
+    "N": st.integers(0, 8),
+    "grid": st.integers(63, 200),
+    "points": st.integers(1, 40),
+}
+# drawn on every run: their defaults are the expensive sizes
+SIZE_KEYS = ("trials", "grid", "points")
+
+
+def comma_list(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+STRINGS = {
+    "sweep": comma_list(st.integers(0, 8).map(str)),
+    "velocities": comma_list(st.sampled_from(EXTREMES)),
+    "formats": st.sampled_from(["json,csv", "json", "csv", " , "]),
+}
+
+
+def value_strategy(key, spec):
+    if spec.kind == "float":
+        return st.sampled_from(EXTREMES)
+    if spec.kind == "bool":
+        return st.sampled_from(["true", "false"])
+    if spec.kind == "str":
+        return STRINGS[key]
+    return INTS.get(key, st.integers(0, 4)).map(str)
+
+
+def finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def config_tokens(experiment):
+    """Every size key of ``experiment``'s schema, small, and up to three of its other keys."""
+    schema = {**cli._COMMON, **cli.EXPERIMENTS[experiment].keys}
+    strategies = {key: value_strategy(key, spec) for key, spec in schema.items()}
+    sizes = st.fixed_dictionaries({key: strategies.pop(key) for key in SIZE_KEYS if key in schema})
+    others = st.lists(st.sampled_from(sorted(strategies)), unique=True, max_size=3)
+    chosen = others.flatmap(lambda keys: st.fixed_dictionaries({k: strategies[k] for k in keys}))
+    return st.tuples(sizes, chosen).map(
+        lambda dicts: [f"{k}={v}" for d in dicts for k, v in d.items()]
+    )
+
+
+class TestEveryAcceptedConfigRuns:
+    """A config that parse_config accepts runs to exit 0; any other exits 2."""
+
+    # 0.3 to 0.5 s per experiment, 2.8 s for all seven, on a 2-vCPU machine
+    @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[TMP_PATH])
+    @given(data=st.data())
+    def test_exit_is_zero_or_two(self, tmp_path, capsys, monkeypatch, experiment, data):
+        monkeypatch.delenv("PARADOX_LAB_SEED", raising=False)
+        tokens = data.draw(config_tokens(experiment))
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+
+        status = main([experiment, *tokens, "--out", str(out)])
+
+        err = capsys.readouterr().err
+        assert status in (0, 2), err
+        if status == 2:
+            schema = {**cli._COMMON, **cli.EXPERIMENTS[experiment].keys}
+            assert not out.exists()
+            assert any(re.search(rf"\b{re.escape(key)}\b", err) for key in schema), err
+        elif (out / "result.json").exists():
+            text = (out / "result.json").read_text(encoding="utf-8")
+            json.loads(text, parse_float=finite_float, parse_constant=finite_float)

@@ -157,6 +157,14 @@ class TestUnitaryExp:
         expected = np.diag([np.exp(-1j * t), np.exp(1j * t)])
         np.testing.assert_allclose(U.entries, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("a", [0.7, 0.0, -2.0, 1e-12])
+    def test_degenerate_2x2_is_a_phase(self, a):
+        for H in (a * np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)):
+            for t in (0.9, -3.0, 1e4):
+                U = qcore.unitary_exp(qcore.Operator(H, hermitian=True), t)
+                expected = np.exp(-1j * H[0, 0].real * t) * np.eye(2)
+                np.testing.assert_allclose(U.entries, expected, rtol=0, atol=1e-14)
+
     def test_zero_time(self):
         rng = np.random.default_rng(3)
         H = qcore.Operator(random_hermitian(rng, 4), hermitian=True)
