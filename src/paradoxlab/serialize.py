@@ -7,7 +7,10 @@ endings.  Identical records therefore serialize to identical bytes.
 CSV tables are passed as columns and written in blocks of rows.  Each block
 of a float64 or integer array column is formatted once per distinct value,
 joined and written on its own, so the text held at any time is one block of
-cells, whatever the size of the table.
+cells, whatever the size of the table.  A block's distinct doubles are
+rendered by one ``%`` call over a ``"%.17g\n"`` template, which runs the C
+routine behind ``format(v, ".17g")`` for every value without a Python call
+per value.
 """
 
 from __future__ import annotations
@@ -91,9 +94,12 @@ _BLOCK_ROWS = 16384
 
 def _format_doubles(values: np.ndarray) -> list[str]:
     """``format_float`` over finite float64 values, integral ones with ".0"."""
-    texts = [format(v, ".17g") for v in values.tolist()]
-    integral = ((values == np.floor(values)) & (np.abs(values) < 1e17)).tolist()
-    return [text + ".0" if whole else text for text, whole in zip(texts, integral)]
+    texts = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")
+    texts.pop()
+    integral = (values == np.floor(values)) & (np.abs(values) < 1e17)
+    for i in np.flatnonzero(integral).tolist():
+        texts[i] += ".0"
+    return texts
 
 
 def _checked(column: Sequence) -> Sequence:

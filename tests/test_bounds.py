@@ -36,11 +36,18 @@ class TestLandauPeierls:
 
 class TestLandauPeierlsFloors:
     def test_equals_the_scalar_bit_for_bit(self):
-        durations = np.geomspace(0.1, 100.0, 100_000)
-        floors = bounds.landau_peierls_floors(durations)
-        scalar = np.array([bounds.landau_peierls_min(t) for t in durations.tolist()])
-        assert floors.dtype == np.float64
-        np.testing.assert_array_equal(floors.view(np.uint64), scalar.view(np.uint64))
+        inputs = [
+            np.geomspace(0.1, 100.0, 100_000),
+            # the whole t_min..t_max range the cli accepts
+            np.geomspace(1e-150, 1e150, 100_000),
+            # the extreme durations whose squares are finite normal doubles
+            np.array([2.0**-511, math.nextafter(2.0**512, 0.0)]),
+        ]
+        for durations in inputs:
+            floors = bounds.landau_peierls_floors(durations)
+            scalar = np.array([bounds.landau_peierls_min(t) for t in durations.tolist()])
+            assert floors.dtype == np.float64
+            np.testing.assert_array_equal(floors.view(np.uint64), scalar.view(np.uint64))
 
     def test_empty(self):
         assert bounds.landau_peierls_floors(np.array([])).shape == (0,)
@@ -57,13 +64,23 @@ class TestLandauPeierlsFloors:
             tracemalloc.stop()
         assert peak <= floors.nbytes + 64 * 1024
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_first_bad_duration_raises_like_the_scalar(self, bad):
         with pytest.raises(DomainError) as expected:
             bounds.landau_peierls_min(bad)
-        with pytest.raises(DomainError) as got:
-            bounds.landau_peierls_floors(np.array([1.0, bad, -5.0]))
-        assert str(got.value) == str(expected.value)
+        # first, middle and last index, with a later bad duration where there is room
+        for durations in ([bad, 1.0, -5.0], [1.0, bad, -5.0], [1.0, 2.0, bad]):
+            with pytest.raises(DomainError) as got:
+                bounds.landau_peierls_floors(np.array(durations))
+            assert str(got.value) == str(expected.value)
+
+    def test_squares_outside_the_normal_doubles_act_like_the_scalar(self):
+        # 1e-160 squares to a subnormal, so 1.0 / T**2 overflows to inf
+        assert bounds.landau_peierls_floors(np.array([1.0, 1e-160]))[1] == math.inf
+        with pytest.raises(ZeroDivisionError):  # 1e-200 squares to 0.0
+            bounds.landau_peierls_floors(np.array([1.0, 1e-200]))
+        with pytest.raises(OverflowError):  # 1e200 squares past the largest double
+            bounds.landau_peierls_floors(np.array([1.0, 1e200]))
 
 
 class TestEnergyTimeProduct:

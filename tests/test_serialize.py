@@ -65,6 +65,10 @@ finite_doubles = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGES),
     st.integers(-(2**60), 2**60).map(float),
+    # raw bit patterns: every exponent range and the subnormals
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    .filter(math.isfinite),
 )
 
 
@@ -85,9 +89,21 @@ class TestFloatColumns:
         assert written(tmp_path, ["v"], [column]) == "v\n0.0\n-0.0\n0.0\n-0.0\n"
 
     def test_integral_values_get_a_decimal_point_below_1e17(self, tmp_path):
-        column = np.array([3.0, -2.0**53, 99999999999999984.0, 1e17, 2e17])
+        cells = [
+            (3.0, "3.0"),
+            (0.5, "0.5"),
+            (-(2.0**53), "-9007199254740992.0"),
+            (9999999999999998.0, "9999999999999998.0"),
+            (1e16, "10000000000000000.0"),
+            (-1e16, "-10000000000000000.0"),
+            (-2.5, "-2.5"),
+            (99999999999999984.0, "99999999999999984.0"),
+            (1e17, "1e+17"),
+            (2e17, "2e+17"),
+        ]
+        column = np.array([value for value, _ in cells])
         text = written(tmp_path, ["v"], [column])
-        assert text == "v\n3.0\n-9007199254740992.0\n99999999999999984.0\n1e+17\n2e+17\n"
+        assert text == "v\n" + "".join(cell + "\n" for _, cell in cells)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_raises_like_format_float(self, tmp_path, bad):
