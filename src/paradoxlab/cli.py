@@ -9,8 +9,9 @@ environment variable) and writes result.json plus CSV data series;
 identical config and seed produce byte-identical output.
 
 Each experiment is one entry of ``EXPERIMENTS``: its keys, its runner and a
-check across keys.  ``parse_config`` applies the keys and the check, so a bad
-config exits 2 before any work starts; an error during the run exits 1.
+check across keys that returns the runner's inputs.  ``parse_config`` applies
+the keys and the check, so a bad config exits 2 before any work starts; an
+error during the run, or an output that cannot be written, exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -133,6 +135,11 @@ class RunConfig:
     output_dir: Path
     formats: tuple[str, ...]
 
+    @cached_property
+    def inputs(self) -> Any:
+        """The experiment's check on ``params``: what its runner uses."""
+        return EXPERIMENTS[self.experiment].check(self.params)
+
 
 def _convert(key: str, spec: _KeySpec, raw: str):
     if spec.kind == "int":
@@ -217,15 +224,15 @@ def parse_config(
     formats = tuple(_convert_list("formats", _COMMON["formats"], params["formats"]))
     if any(fmt not in ("json", "csv") for fmt in formats):
         raise ConfigError(f"formats must be a subset of json,csv, got '{params['formats']}'")
-    EXPERIMENTS[experiment].check(params)
-
-    return RunConfig(
+    cfg = RunConfig(
         experiment=experiment,
         seed=params["seed"],
         params=params,
         output_dir=Path(output_dir),
         formats=formats,
     )
+    cfg.inputs  # the check raises here, before any work
+    return cfg
 
 
 def _check_work(subject: str, factor: int, per: int, unit: str, limit: int) -> None:
@@ -242,20 +249,31 @@ def _check_draws(params: dict, per_trial: int, detail: str = "") -> None:
     _check_work(f"key 'trials' = {trials}{detail}", trials, per_trial, "uniform draws", MAX_DRAWS)
 
 
-def _check_zeno(params: dict) -> None:
+def _check_zeno(params: dict) -> tuple[zeno.ZenoConfig, list[int]]:
     B, T = params["B"], params["T"]
+    zcfg = zeno.ZenoConfig(B, T, params["N"], params["trials"], params["seed"])
     # the whole precession angle; each step's angle and phase is a part of it
-    angle = (2.0 * B) * zeno.period(zeno.ZenoConfig(B, T))
+    angle = (2.0 * B) * zeno.period(zcfg)
     if not math.isfinite(angle):
         raise ConfigError(f"keys 'B' = {B} and 'T' = {T} give 2 B T = {angle}, not finite")
-    per_trial = params["N"] + sum(_convert_list("sweep", _ZENO_KEYS["N"], params["sweep"]))
+    sweep = _convert_list("sweep", _ZENO_KEYS["N"], params["sweep"])
+    per_trial = zcfg.N + sum(sweep)
     _check_draws(params, per_trial, f" with N + sum(sweep) = {per_trial}")
+    return zcfg, sweep
 
 
-def _check_cat(params: dict) -> None:
-    _normalized_pair(params)
+def _check_bell(params: dict) -> bell.ChshSettings:
+    # two uniforms per trial: the A outcome, then B conditioned on it
+    _check_draws(params, 2)
+    keys = ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime")
+    return bell.ChshSettings.from_angles(*(params[key] for key in keys))
+
+
+def _check_cat(params: dict) -> catlab.ChainConfig:
+    alpha, beta = _normalized_pair(params)
     # one uniform per trial for the main run and for each of five weights
     _check_draws(params, 6)
+    return catlab.ChainConfig(alpha, beta, params["n_devices"], params["trials"], params["seed"])
 
 
 def _base_record(cfg: RunConfig) -> dict:
@@ -280,20 +298,13 @@ def _uncertainty_dict(report) -> dict:
 def _run_zeno_like(cfg: RunConfig):
     dual = cfg.experiment == "dual-zeno"
     runner = zeno.run_dual_zeno if dual else zeno.run_zeno
-    zcfg = zeno.ZenoConfig(
-        B=cfg.params["B"],
-        T=cfg.params["T"],
-        N=cfg.params["N"],
-        trials=cfg.params["trials"],
-        seed=cfg.seed,
-    )
+    zcfg, sweep = cfg.inputs
     result = runner(zcfg)
     record = _base_record(cfg)
     record["duration"] = zeno.period(zcfg)
     record["result"] = _fields(result)
     record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg))
 
-    sweep = _convert_list("sweep", _ZENO_KEYS["N"], cfg.params["sweep"])
     # a sweep point at the main N is the main run again: same config, same bytes
     points = [result if n == zcfg.N else runner(replace(zcfg, N=n)) for n in sweep]
     columns = (
@@ -307,13 +318,7 @@ def _run_zeno_like(cfg: RunConfig):
 
 
 def _run_bell(cfg: RunConfig):
-    settings = bell.ChshSettings.from_angles(
-        cfg.params["theta_a"],
-        cfg.params["theta_a_prime"],
-        cfg.params["theta_b"],
-        cfg.params["theta_b_prime"],
-    )
-    result = bell.chsh(bell.singlet(), settings, cfg.params["trials"], SeededStream(cfg.seed))
+    result = bell.chsh(bell.singlet(), cfg.inputs, cfg.params["trials"], SeededStream(cfg.seed))
     labels = tuple(result.counts)  # chsh's pair order
     record = _base_record(cfg)
     record["result"] = {
@@ -333,13 +338,9 @@ def _run_bell(cfg: RunConfig):
     return record, [("bell_counts.csv", ("pair", "outcome_a", "outcome_b", "count"), columns)]
 
 
-def _geometry(params: dict) -> twoslit.TwoSlitGeometry:
+def _check_twoslit(params: dict) -> tuple[twoslit.TwoSlitGeometry, float, float, float]:
     keys = ("wavelength", "slit_separation", "screen_distance")
-    return twoslit.TwoSlitGeometry(*(params[key] for key in keys))
-
-
-def _check_twoslit(params: dict) -> None:
-    geometry = _geometry(params)
+    geometry = twoslit.TwoSlitGeometry(*(params[key] for key in keys))
     spacing = twoslit.fringe_spacing(geometry)
     threshold = twoslit.which_path_threshold(geometry)
     if not (0.0 < spacing < math.inf and 0.0 < threshold < math.inf):
@@ -354,18 +355,15 @@ def _check_twoslit(params: dict) -> None:
     except ResolutionError as error:
         message = f"keys 'grid' = {grid} and 'span_fringes' = {span_fringes}: {error}"
         raise ConfigError(message) from None
+    return geometry, spacing, threshold, span
 
 
 def _run_twoslit(cfg: RunConfig):
-    geometry = _geometry(cfg.params)
-    spacing = twoslit.fringe_spacing(geometry)
+    geometry, spacing, threshold, span = cfg.inputs
     delta_p_s = cfg.params["delta_p_s"]
-    if delta_p_s is None:
-        delta_p_s = twoslit.which_path_threshold(geometry)
-    report = twoslit.complementarity_report(geometry, delta_p_s)
+    report = twoslit.complementarity_report(geometry, threshold if delta_p_s is None else delta_p_s)
 
     grid = cfg.params["grid"]
-    span = cfg.params["span_fringes"] * spacing
     # a smear beyond a few fringes is already machine-flat; cap it so the
     # convolution kernel stays bounded
     sigma_used = min(report.delta_x_s_min, 4.0 * spacing)
@@ -385,13 +383,8 @@ def _run_twoslit(cfg: RunConfig):
             twoslit.visibility(twoslit.pattern(geometry, ratio * spacing, grid, span))
             for ratio in ratios
         ]
-        csvs.append(
-            (
-                "twoslit_visibility_sweep.csv",
-                ("sigma_over_spacing", "visibility"),
-                (ratios, visibilities),
-            )
-        )
+        header = ("sigma_over_spacing", "visibility")
+        csvs.append(("twoslit_visibility_sweep.csv", header, (ratios, visibilities)))
     return record, csvs
 
 
@@ -414,21 +407,14 @@ def _normalized_pair(params: dict) -> tuple[complex, complex]:
 
 
 def _run_cat(cfg: RunConfig):
-    alpha, beta = _normalized_pair(cfg.params)
-    chain_cfg = catlab.ChainConfig(
-        alpha=alpha,
-        beta=beta,
-        n_devices=cfg.params["n_devices"],
-        trials=cfg.params["trials"],
-        seed=cfg.seed,
-    )
+    chain_cfg = cfg.inputs
     result = catlab.run_chain(chain_cfg)
     record = _base_record(cfg)
     amplitudes = [[amp.real, amp.imag] for amp in result.final_state.amplitudes.tolist()]
     born = result.born_frequencies
     record["result"] = {
-        "alpha": [alpha.real, alpha.imag],
-        "beta": [beta.real, beta.imag],
+        "alpha": [chain_cfg.alpha.real, chain_cfg.alpha.imag],
+        "beta": [chain_cfg.beta.real, chain_cfg.beta.imag],
         "final_state_dims": list(result.final_state.dims),
         "final_state_amplitudes": amplitudes,
         "global_purity": result.global_purity,
@@ -441,16 +427,15 @@ def _run_cat(cfg: RunConfig):
         record["result"]["cat_branches"] = {"dead": "up", "live": "down"}
 
     csvs = []
-    if cfg.params["trials"] > 0:
+    if chain_cfg.trials > 0:
         weights = (0.0, 0.25, 0.5, 0.75, 1.0)
         per_weight = [
             catlab.born_statistics(
-                catlab.ChainConfig(
+                replace(
+                    chain_cfg,
                     alpha=math.sqrt(weight),
                     beta=math.sqrt(1.0 - weight),
-                    n_devices=chain_cfg.n_devices,
-                    trials=cfg.params["trials"],
-                    seed=(cfg.seed + index) % 2**64,
+                    seed=(chain_cfg.seed + index) % 2**64,
                 )
             )
             for index, weight in enumerate(weights)
@@ -494,13 +479,8 @@ def _run_bounds(cfg: RunConfig):
     if delta_e is not None:
         report = bounds.energy_time_product(delta_e, delta_t)
         record["result"]["energy_time"] = _uncertainty_dict(report)
-    return record, [
-        (
-            "bounds_landau_peierls.csv",
-            ("duration", "min_field_uncertainty"),
-            (durations, floors),
-        )
-    ]
+    header = ("duration", "min_field_uncertainty")
+    return record, [("bounds_landau_peierls.csv", header, (durations, floors))]
 
 
 def _lightcone_grid(params: dict) -> tuple[int, int]:
@@ -519,19 +499,20 @@ def _lightcone_grid(params: dict) -> tuple[int, int]:
     return n_t, n_x
 
 
-def _check_lightcone(params: dict) -> None:
-    for v in _convert_list("velocities", _VELOCITY, params["velocities"]):
+def _check_lightcone(params: dict) -> tuple[list[float], tuple[int, int]]:
+    velocities = _convert_list("velocities", _VELOCITY, params["velocities"])
+    for v in velocities:
         try:
             lightcone.Boost(v)
         except BoostError as error:
             raise ConfigError(f"key 'velocities': {error}") from None
-    _lightcone_grid(params)
+    return velocities, _lightcone_grid(params)
 
 
 def _run_lightcone(cfg: RunConfig):
     a = lightcone.Event(cfg.params["a_t"], cfg.params["a_x"])
     b = lightcone.Event(cfg.params["b_t"], cfg.params["b_x"])
-    velocities = _convert_list("velocities", _VELOCITY, cfg.params["velocities"])
+    velocities, (n_t, n_x) = cfg.inputs
     report = lightcone.ordering_report(a, b, velocities)
 
     record = _base_record(cfg)
@@ -544,7 +525,6 @@ def _run_lightcone(cfg: RunConfig):
 
     # row-major over (t, x); lo + i*step is the same IEEE arithmetic as a scalar loop.
     # The region broadcasts the axes, so only the CSV columns repeat them per cell.
-    n_t, n_x = _lightcone_grid(cfg.params)
     step = cfg.params["grid_step"]
     t_axis = cfg.params["grid_t_min"] + np.arange(n_t) * step
     x_axis = cfg.params["grid_x_min"] + np.arange(n_x) * step
@@ -558,15 +538,14 @@ class _Experiment:
     keys: dict[str, _KeySpec]
     # -> (result record, [(CSV file name, header, one column per header name)])
     run: Callable[[RunConfig], tuple[dict, list]]
-    # raises ConfigError on converted values that do not fit together
+    # the runner's inputs from converted values; ConfigError if they do not fit together
     check: Callable[[dict], Any]
 
 
 EXPERIMENTS: dict[str, _Experiment] = {
     "zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _check_zeno),
     "dual-zeno": _Experiment(_ZENO_KEYS, _run_zeno_like, _check_zeno),
-    # two uniforms per trial: the A outcome, then B conditioned on it
-    "bell": _Experiment(_BELL_KEYS, _run_bell, lambda params: _check_draws(params, 2)),
+    "bell": _Experiment(_BELL_KEYS, _run_bell, _check_bell),
     "twoslit": _Experiment(_TWOSLIT_KEYS, _run_twoslit, _check_twoslit),
     "cat": _Experiment(_CAT_KEYS, _run_cat, _check_cat),
     "bounds": _Experiment(_BOUNDS_KEYS, _run_bounds, _check_bounds),
@@ -578,12 +557,16 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its outputs."""
     try:
         record, csvs = EXPERIMENTS[cfg.experiment].run(cfg)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        if "json" in cfg.formats:
-            write_json(cfg.output_dir / "result.json", record)
-        if "csv" in cfg.formats:
-            for name, header, columns in csvs:
-                write_csv(cfg.output_dir / name, header, columns)
+        try:
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+            if "json" in cfg.formats:
+                write_json(cfg.output_dir / "result.json", record)
+            if "csv" in cfg.formats:
+                for name, header, columns in csvs:
+                    write_csv(cfg.output_dir / name, header, columns)
+        except OSError as error:
+            print(f"paradox-lab: {cfg.experiment}: cannot write output: {error}", file=sys.stderr)
+            return 1
     except ParadoxLabError as error:
         print(f"paradox-lab: {cfg.experiment}: {error}", file=sys.stderr)
         return 1

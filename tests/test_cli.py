@@ -557,6 +557,41 @@ class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_unwritable_output_is_exit_one(self, tmp_path, capsys):
+        # an existing file in place of the directory fails even for root
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        assert main(["bounds", "--out", str(existing)]) == 1
+        err = capsys.readouterr().err
+        assert "bounds: cannot write output" in err
+        assert str(existing) in err
+        assert "Traceback" not in err
+
+    def test_each_input_is_derived_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                # formats is parsed by parse_config itself, not by a check
+                if name != "_convert_list" or args[0] in ("sweep", "velocities"):
+                    calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("_convert_list", "_normalized_pair", "_lightcone_grid"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        runs = {
+            "zeno": (["trials=300"], ["_convert_list"]),
+            "dual-zeno": (["trials=300"], ["_convert_list"]),
+            "cat": (["trials=300"], ["_normalized_pair"]),
+            "lightcone": ([], ["_convert_list", "_lightcone_grid"]),
+        }
+        for experiment, (tokens, expected) in runs.items():
+            calls.clear()
+            assert main([experiment, *tokens, "--out", str(tmp_path / experiment)]) == 0
+            assert sorted(calls) == expected, experiment
+
 
 # each example reuses one output directory in tmp_path
 TMP_PATH = HealthCheck.function_scoped_fixture
