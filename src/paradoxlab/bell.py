@@ -194,7 +194,6 @@ def chsh(
     The trial budget is split evenly over the four setting pairs; each pair
     owns a contiguous block of trial indices so reruns are reproducible.
     """
-    _check_pair(state)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     pairs = [

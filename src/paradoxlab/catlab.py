@@ -34,7 +34,7 @@ class ChainConfig:
 
     def __post_init__(self):
         weight = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(weight - 1.0) > 1e-12:
+        if not abs(weight - 1.0) <= 1e-12:
             raise DomainError(f"|alpha|^2 + |beta|^2 = {weight}, must be 1")
         if not 1 <= self.n_devices <= MAX_DEVICES:
             raise DimensionError(

@@ -11,7 +11,8 @@ identical config and seed produce byte-identical output.
 Each experiment is one entry of ``EXPERIMENTS``: its keys, its runner and a
 check across keys that returns the runner's inputs.  ``parse_config`` applies
 the keys and the check, so a bad config exits 2 before any work starts; an
-error during the run, or an output that cannot be written, exits 1.
+error during the run, or an output that cannot be written, exits 1.  A runner
+returns the result.json fields beyond the common header that ``run`` builds.
 """
 
 from __future__ import annotations
@@ -130,10 +131,20 @@ _VELOCITY = _KeySpec("float", None)
 @dataclass(frozen=True)
 class RunConfig:
     experiment: str
-    seed: int
     params: dict[str, Any]
     output_dir: Path
-    formats: tuple[str, ...]
+
+    @property
+    def seed(self) -> int:
+        return self.params["seed"]
+
+    @cached_property
+    def formats(self) -> tuple[str, ...]:
+        raw = self.params["formats"]
+        formats = tuple(_convert_list("formats", _COMMON["formats"], raw))
+        if any(fmt not in ("json", "csv") for fmt in formats):
+            raise ConfigError(f"formats must be a subset of json,csv, got '{raw}'")
+        return formats
 
     @cached_property
     def inputs(self) -> Any:
@@ -221,17 +232,8 @@ def parse_config(
     if env and "PARADOX_LAB_SEED" in env:
         params["seed"] = _convert("PARADOX_LAB_SEED", schema["seed"], env["PARADOX_LAB_SEED"])
 
-    formats = tuple(_convert_list("formats", _COMMON["formats"], params["formats"]))
-    if any(fmt not in ("json", "csv") for fmt in formats):
-        raise ConfigError(f"formats must be a subset of json,csv, got '{params['formats']}'")
-    cfg = RunConfig(
-        experiment=experiment,
-        seed=params["seed"],
-        params=params,
-        output_dir=Path(output_dir),
-        formats=formats,
-    )
-    cfg.inputs  # the check raises here, before any work
+    cfg = RunConfig(experiment, params, Path(output_dir))
+    cfg.formats, cfg.inputs  # the checks raise here, before any work
     return cfg
 
 
@@ -276,16 +278,6 @@ def _check_cat(params: dict) -> catlab.ChainConfig:
     return catlab.ChainConfig(alpha, beta, params["n_devices"], params["trials"], params["seed"])
 
 
-def _base_record(cfg: RunConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "version": __version__,
-        "seed": cfg.seed,
-        # formats and the output directory must not influence result bytes
-        "config": {k: v for k, v in cfg.params.items() if k != "formats"},
-    }
-
-
 def _fields(obj) -> dict:
     """Field name -> value of a result dataclass; ``asdict`` would deep-copy each leaf."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
@@ -300,10 +292,8 @@ def _run_zeno_like(cfg: RunConfig):
     runner = zeno.run_dual_zeno if dual else zeno.run_zeno
     zcfg, sweep = cfg.inputs
     result = runner(zcfg)
-    record = _base_record(cfg)
-    record["duration"] = zeno.period(zcfg)
-    record["result"] = _fields(result)
-    record["uncertainty"] = _uncertainty_dict(zeno.jump_resolution_report(zcfg))
+    uncertainty = _uncertainty_dict(zeno.jump_resolution_report(zcfg))
+    record = {"duration": zeno.period(zcfg), "result": _fields(result), "uncertainty": uncertainty}
 
     # a sweep point at the main N is the main run again: same config, same bytes
     points = [result if n == zcfg.N else runner(replace(zcfg, N=n)) for n in sweep]
@@ -320,8 +310,7 @@ def _run_zeno_like(cfg: RunConfig):
 def _run_bell(cfg: RunConfig):
     result = bell.chsh(bell.singlet(), cfg.inputs, cfg.params["trials"], SeededStream(cfg.seed))
     labels = tuple(result.counts)  # chsh's pair order
-    record = _base_record(cfg)
-    record["result"] = {
+    summary = {
         **_fields(result),
         "exact_correlations": dict(zip(labels, result.exact_correlations)),
         "local_deterministic_bound": bell.local_deterministic_bound(),
@@ -335,7 +324,8 @@ def _run_bell(cfg: RunConfig):
         [int(cell[1] + "1") for _, cell in rows],
         [result.counts[label][cell] for label, cell in rows],
     )
-    return record, [("bell_counts.csv", ("pair", "outcome_a", "outcome_b", "count"), columns)]
+    header = ("pair", "outcome_a", "outcome_b", "count")
+    return {"result": summary}, [("bell_counts.csv", header, columns)]
 
 
 def _check_twoslit(params: dict) -> tuple[twoslit.TwoSlitGeometry, float, float, float]:
@@ -369,8 +359,7 @@ def _run_twoslit(cfg: RunConfig):
     sigma_used = min(report.delta_x_s_min, 4.0 * spacing)
     profile = twoslit.pattern(geometry, sigma_used, grid, span)
 
-    record = _base_record(cfg)
-    record["result"] = {
+    summary = {
         **_fields(report),
         "paraxial": geometry.paraxial,
         "smear_sigma_used": sigma_used,
@@ -385,7 +374,7 @@ def _run_twoslit(cfg: RunConfig):
         ]
         header = ("sigma_over_spacing", "visibility")
         csvs.append(("twoslit_visibility_sweep.csv", header, (ratios, visibilities)))
-    return record, csvs
+    return {"result": summary}, csvs
 
 
 def _normalized_pair(params: dict) -> tuple[complex, complex]:
@@ -409,10 +398,9 @@ def _normalized_pair(params: dict) -> tuple[complex, complex]:
 def _run_cat(cfg: RunConfig):
     chain_cfg = cfg.inputs
     result = catlab.run_chain(chain_cfg)
-    record = _base_record(cfg)
     amplitudes = [[amp.real, amp.imag] for amp in result.final_state.amplitudes.tolist()]
     born = result.born_frequencies
-    record["result"] = {
+    summary = {
         "alpha": [chain_cfg.alpha.real, chain_cfg.alpha.imag],
         "beta": [chain_cfg.beta.real, chain_cfg.beta.imag],
         "final_state_dims": list(result.final_state.dims),
@@ -424,7 +412,7 @@ def _run_cat(cfg: RunConfig):
         "no_collapse_witness": catlab.no_collapse_witness(result),
     }
     if chain_cfg.n_devices >= 2:
-        record["result"]["cat_branches"] = {"dead": "up", "live": "down"}
+        summary["cat_branches"] = {"dead": "up", "live": "down"}
 
     csvs = []
     if chain_cfg.trials > 0:
@@ -447,7 +435,7 @@ def _run_cat(cfg: RunConfig):
             [stats.stderr for stats in per_weight],
         )
         csvs.append(("cat_born_vs_weight.csv", ("up_weight", "f_up", "f_down", "stderr"), columns))
-    return record, csvs
+    return {"result": summary}, csvs
 
 
 def _check_bounds(params: dict) -> None:
@@ -466,8 +454,7 @@ def _run_bounds(cfg: RunConfig):
     durations = np.geomspace(t_min, t_max, cfg.params["points"])
     floors = bounds.landau_peierls_floors(durations)
 
-    record = _base_record(cfg)
-    record["result"] = {
+    summary = {
         "t_min": t_min,
         "t_max": t_max,
         "points": cfg.params["points"],
@@ -478,9 +465,9 @@ def _run_bounds(cfg: RunConfig):
     delta_t = cfg.params["delta_t"]
     if delta_e is not None:
         report = bounds.energy_time_product(delta_e, delta_t)
-        record["result"]["energy_time"] = _uncertainty_dict(report)
+        summary["energy_time"] = _uncertainty_dict(report)
     header = ("duration", "min_field_uncertainty")
-    return record, [("bounds_landau_peierls.csv", header, (durations, floors))]
+    return {"result": summary}, [("bounds_landau_peierls.csv", header, (durations, floors))]
 
 
 def _lightcone_grid(params: dict) -> tuple[int, int]:
@@ -515,8 +502,7 @@ def _run_lightcone(cfg: RunConfig):
     velocities, (n_t, n_x) = cfg.inputs
     report = lightcone.ordering_report(a, b, velocities)
 
-    record = _base_record(cfg)
-    record["result"] = {
+    summary = {
         **_fields(report),
         "a": _fields(a),
         "b": _fields(b),
@@ -530,13 +516,13 @@ def _run_lightcone(cfg: RunConfig):
     x_axis = cfg.params["grid_x_min"] + np.arange(n_x) * step
     allowed = lightcone.collapse_region(t_axis[:, None], x_axis[None, :], a, b)
     columns = (np.repeat(t_axis, n_x), np.tile(x_axis, n_t), allowed.ravel().astype(np.int8))
-    return record, [("lightcone_region.csv", ("t", "x", "allowed"), columns)]
+    return {"result": summary}, [("lightcone_region.csv", ("t", "x", "allowed"), columns)]
 
 
 @dataclass(frozen=True)
 class _Experiment:
     keys: dict[str, _KeySpec]
-    # -> (result record, [(CSV file name, header, one column per header name)])
+    # -> (result.json fields beyond run's header, [(CSV file, header, one column per name)])
     run: Callable[[RunConfig], tuple[dict, list]]
     # the runner's inputs from converted values; ConfigError if they do not fit together
     check: Callable[[dict], Any]
@@ -556,7 +542,15 @@ EXPERIMENTS: dict[str, _Experiment] = {
 def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its outputs."""
     try:
-        record, csvs = EXPERIMENTS[cfg.experiment].run(cfg)
+        own, csvs = EXPERIMENTS[cfg.experiment].run(cfg)
+        record = {
+            "experiment": cfg.experiment,
+            "version": __version__,
+            "seed": cfg.seed,
+            # formats and the output directory must not influence result bytes
+            "config": {k: v for k, v in cfg.params.items() if k != "formats"},
+            **own,
+        }
         try:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)
             if "json" in cfg.formats:

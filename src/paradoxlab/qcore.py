@@ -147,10 +147,6 @@ class Operator:
         return self.entries.shape[0]
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex), hermitian=True, unitary=True)
-
-
 def spin_observable(n: SpinDirection) -> Operator:
     """Spin component along ``n``: nx*sx + ny*sy + nz*sz, eigenvalues +-1."""
     mat = n.nx * PAULI_X + n.ny * PAULI_Y + n.nz * PAULI_Z
@@ -267,6 +263,8 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"density matrix must be square, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise NumericalError("density matrix entries must be finite")
         _check_hermitian(mat, "density matrix")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > 1e-12:

@@ -66,13 +66,10 @@ def _render(value, indent: int) -> str:
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        if kinds == {int}:
+        if set(map(type, value)) == {int}:
             items = map(str, value)  # counts and histograms, the long lists
-        elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-            items = [_render(item, indent + 1) for item in value]
         else:
-            items = map(_scalar, value)
+            items = [_render(item, indent + 1) for item in value]
         brackets = "[]"
     else:
         return _scalar(value)

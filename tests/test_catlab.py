@@ -173,6 +173,13 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             catlab.ChainConfig(1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, complex(0.0, math.nan)])
+    def test_nan_amplitude_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            catlab.ChainConfig(alpha, 1.0)
+        with pytest.raises(DomainError):
+            catlab.ChainConfig(1.0, alpha)
+
     def test_device_count_cap(self):
         with pytest.raises(DimensionError):
             catlab.ChainConfig(1.0, 0.0, n_devices=4)

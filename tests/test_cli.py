@@ -195,6 +195,16 @@ class TestRunDeterminism:
             blobs.append((tmp_path / str(seed) / "result.json").read_bytes())
         assert blobs[0] != blobs[1]
 
+    @pytest.mark.parametrize("experiment", ["bell", "zeno"])
+    def test_seed_is_stored_once(self, tmp_path, experiment):
+        # a config whose seed is replaced runs as if parsed with that seed
+        tokens = [f"experiment={experiment}", "trials=400"]
+        cfg = parse_config(tokens, output_dir=tmp_path / "replaced")
+        assert run(replace(cfg, params={**cfg.params, "seed": 5})) == 0
+        assert run(parse_config([*tokens, "seed=5"], output_dir=tmp_path / "parsed")) == 0
+        replaced, parsed = (tmp_path / name / "result.json" for name in ("replaced", "parsed"))
+        assert replaced.read_bytes() == parsed.read_bytes()
+
 
 class TestJsonContract:
     def test_round_trip_is_lossless(self, tmp_path):

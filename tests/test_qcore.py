@@ -326,7 +326,7 @@ class TestMeasure:
     def test_degenerate_spectrum_shares_projector(self):
         state = qcore.make_state((2,), (0.6, 0.8j))
         rng = SeededStream(31)
-        value, post = qcore.measure(state, qcore.identity(2), rng)
+        value, post = qcore.measure(state, qcore.Operator(np.eye(2), hermitian=True), rng)
         assert value == pytest.approx(1.0)
         np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-15)
 
@@ -412,6 +412,16 @@ class TestDensityMatrix:
             qcore.DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
         with pytest.raises(HermiticityError):
             qcore.DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passes every "> tol" comparison, so it must be caught up front
+        entries = np.diag([0.5, 0.5]).astype(complex)
+        entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(NumericalError, match="finite"):
+            qcore.DensityMatrix(entries)
+        with pytest.raises(NumericalError, match="finite"):
+            qcore.DensityMatrix(np.full((2, 2), bad, dtype=complex))
 
 
 class TestNormDrift:
