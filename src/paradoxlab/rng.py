@@ -14,12 +14,14 @@ another trial's block, or onto the master stream, and are rejected.
 ``SeededStream.uniform_block`` evaluates many substreams at once.  Short rows
 go through a numpy Philox evaluated for the whole (trial, step) counter grid,
 a tile of rows at a time so that its extra memory stays bounded.  Long rows
-keep one native ``advance`` + ``random_raw`` per trial, which costs a fixed
-few microseconds per trial but draws several times faster than the numpy
-rounds once a row is long.  Both paths produce the same bits.
+keep one native ``advance`` per trial and ``Generator.random`` into the row:
+a fixed few microseconds per trial, but several times faster per draw than
+the numpy rounds once a row is long.  Both paths produce the same bits.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +33,10 @@ MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers, the first Philox key
 _MAX_TRIAL = 2**64 - 2  # substream i uses counter word i + 1 < 2**64
 _INV_2_53 = 2.0**-53
 # Rows of at most this many draws use the counter-grid kernel; longer rows use
-# the native per-row loop.  Measured crossover: both paths cost about 30-40 ns
-# per draw at 384 draws per row (2-vCPU Xeon, numpy 2.4); at 1024 the loop
-# takes 17 ns and the grid 35 ns, at 64 the loop 180 ns and the grid 53 ns.
-_GRID_MAX_DRAWS = 384
+# the native per-row loop.  Measured crossover, ns per draw (2-vCPU Xeon, numpy
+# 2.4, best of 7 over 2**19 draws): both cost 28-38 at 256 draws per row; loop
+# and grid take 19-33 and 35-38 at 320, 10 and 28 at 1024, 115 and 42 at 64.
+_GRID_MAX_DRAWS = 256
 _TILE_BLOCKS = 16384  # counter blocks per grid tile: bounds the kernel's scratch
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11).
@@ -115,17 +117,16 @@ def _fill_grid(seed: int, first: int, out: np.ndarray) -> None:
 
 
 def _fill_rows(seed: int, first: int, out: np.ndarray) -> None:
-    """Same as ``_fill_grid``: one native Philox jumps between the trials' blocks."""
-    draws = out.shape[1]
+    """Same as ``_fill_grid``: advance one native Philox per row, ``Generator.random`` into it."""
     bitgen = np.random.Philox(key=seed)
-    steps = -(-draws // 4)  # Philox emits 4 uint64 per counter step
+    gen = np.random.Generator(bitgen)
+    steps = -(-out.shape[1] // 4)  # Philox emits 4 uint64 per counter step
     position = 0
     for i in range(out.shape[0]):
         target = (first + i + 1) << _BLOCK_SHIFT
         bitgen.advance(target - position)
-        raw = bitgen.random_raw(draws)
+        gen.random(out=out[i])
         position = target + steps
-        out[i] = (raw >> 11) * _INV_2_53
 
 
 class SeededStream:
@@ -134,7 +135,11 @@ class SeededStream:
     def __init__(self, seed: int, _block: int = 0):
         self.seed = check_seed(int(seed))
         self._block = int(_block)
-        self._gen = np.random.Generator(
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        # built on first use, so grid-only master streams never import numpy.random
+        return np.random.Generator(
             np.random.Philox(key=self.seed, counter=self._block << _BLOCK_SHIFT)
         )
 

@@ -93,20 +93,19 @@ def _sample_survival(
     """Count surviving trials and histogram the first-jump step index.
 
     Trial ``i`` draws one uniform per step from substream (seed, i); the
-    chain stops logically at the first -1 outcome.
+    chain stops logically at the first -1 outcome.  Every chunk adds into one
+    histogram, so memory stays one uniform block plus ``steps`` counts.
     """
     stream = SeededStream(seed)
+    hist = np.zeros(steps, dtype=np.int64)
 
-    def worker(lo: int, hi: int) -> tuple[int, np.ndarray]:
+    def worker(lo: int, hi: int) -> int:
         jumped = stream.uniform_block(hi - lo, steps, first=lo) < p_minus
         any_jump = jumped.any(axis=1)
-        hist = np.bincount(jumped[any_jump].argmax(axis=1), minlength=steps)
-        return int((~any_jump).sum()), hist
+        np.add(hist, np.bincount(jumped[any_jump].argmax(axis=1), minlength=steps), out=hist)
+        return int((~any_jump).sum())
 
-    parts = run_chunks(trials, worker, steps)
-    survived = sum(p[0] for p in parts)
-    hist = np.sum([p[1] for p in parts], axis=0)
-    return survived, hist
+    return sum(run_chunks(trials, worker, steps)), hist
 
 
 def _result(cfg: ZenoConfig, dual: bool) -> ZenoResult:
@@ -118,7 +117,7 @@ def _result(cfg: ZenoConfig, dual: bool) -> ZenoResult:
         empirical_survival=empirical,
         stderr=math.sqrt(empirical * (1.0 - empirical) / cfg.trials),
         per_step_probability=1.0 - p_minus,
-        jump_times=tuple(int(c) for c in hist),
+        jump_times=tuple(hist.tolist()),
     )
 
 

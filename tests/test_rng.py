@@ -1,12 +1,17 @@
 """Seeded stream reproducibility and substream independence."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paradoxlab
 from paradoxlab import rng
 from paradoxlab.errors import DomainError
 from paradoxlab.rng import SeededStream
@@ -98,6 +103,29 @@ def test_uniform_block_partition_invariant():
     np.testing.assert_array_equal(whole, parts)
 
 
+def test_grid_rows_do_not_import_numpy_random(tmp_path):
+    # pytest itself has loaded numpy.random, so the runs need a fresh interpreter
+    script = (
+        "import sys\n"
+        "from paradoxlab import cli\n"
+        "for experiment in ('cat', 'bell', 'zeno'):\n"
+        "    status = cli.main([experiment, 'trials=1000', '--out', experiment])\n"
+        "    assert status == 0, (experiment, status)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(paradoxlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout.split()) == (0, ["False"]), proc.stderr
+
+
 def test_substream_nesting_rejected():
     with pytest.raises(DomainError):
         SeededStream(1).substream(0).substream(1)
@@ -116,7 +144,7 @@ def test_negative_substream_rejected():
 
 
 SEEDS = st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
-DRAWS = st.sampled_from([*range(1, 10), CUTOFF - 1, CUTOFF, CUTOFF + 1])
+DRAWS = st.sampled_from([*range(1, 10), CUTOFF - 1, CUTOFF, CUTOFF + 1, 1001, 2**12 + 3])
 N_STREAMS = st.sampled_from([0, 1, 3])
 
 
@@ -129,8 +157,10 @@ def test_both_paths_match_native_philox(seed, draws, n_streams, where):
         out = np.empty((n_streams, draws))
         fill(seed, first, out)
         np.testing.assert_array_equal(out, expected)
-    block = SeededStream(seed).uniform_block(n_streams, draws, first)
-    np.testing.assert_array_equal(block, expected)
+    master = SeededStream(seed)
+    np.testing.assert_array_equal(master.uniform_block(n_streams, draws, first), expected)
+    for i in range(n_streams):  # each substream builds its own generator on first use
+        np.testing.assert_array_equal(master.substream(first + i).uniforms(draws), expected[i])
 
 
 @pytest.mark.parametrize("draws", [1, 7, CUTOFF - 1, CUTOFF])

@@ -138,6 +138,19 @@ class TestChunking:
             tracemalloc.stop()
         assert peak <= 2 * 8 * montecarlo.DRAW_BUDGET
 
+    def test_memory_does_not_grow_with_trials_at_the_row_cap(self):
+        # rows of 2**19 draws make one chunk per trial; the block, its bool
+        # copy, the histogram and one bincount stay, whatever the trial count
+        steps = 2**19
+        p_minus = zeno._step_probability(cfg_with(steps), dual=False)
+        tracemalloc.start()
+        try:
+            zeno._sample_survival(p_minus, steps, 8, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * montecarlo.DRAW_BUDGET + 2 * 8 * steps
+
     @pytest.mark.parametrize(
         "budget, steps, trials",
         [(64, 10, 2000), (64, 500, 300), (2**30, 20000, 500)],
