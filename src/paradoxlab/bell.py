@@ -21,11 +21,13 @@ from .montecarlo import run_chunks
 from .rng import SeededStream
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
+OPTIMAL_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)  # a, a', b, b'
 
 OUTCOMES = (-1, 1)
 
 # joint outcome cells of one setting pair, A's sign then B's; index 2*a_plus + b_plus
 CELLS = ("--", "-+", "+-", "++")
+DRAWS_PER_TRIAL = 2  # uniforms per sampled pair: the A outcome, then B conditioned on it
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class ChshSettings:
 
     @classmethod
     def optimal(cls) -> "ChshSettings":
-        """Settings maximizing |S| on the singlet: (0, pi/2, pi/4, 3pi/4)."""
-        return cls.from_angles(0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
+        """Settings maximizing |S| on the singlet: ``OPTIMAL_ANGLES``."""
+        return cls.from_angles(*OPTIMAL_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -174,12 +176,12 @@ def _sample_counts(
     cond_plus = joint[(1, -1)] / p_a_plus if p_a_plus > 0 else 0.0
 
     def worker(lo: int, hi: int) -> np.ndarray:
-        u = stream.uniform_block(hi - lo, 2, first=first + lo)
+        u = stream.uniform_block(hi - lo, DRAWS_PER_TRIAL, first=first + lo)
         a_plus = u[:, 0] >= p_a_minus
         b_plus = u[:, 1] >= np.where(a_plus, cond_plus, cond_minus)
         return np.bincount(2 * a_plus + b_plus, minlength=4)
 
-    totals = np.sum(run_chunks(n, worker, 2), axis=0)
+    totals = np.sum(run_chunks(n, worker, DRAWS_PER_TRIAL), axis=0)
     return dict(zip(CELLS, totals.tolist()))
 
 

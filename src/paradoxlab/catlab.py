@@ -34,7 +34,7 @@ class ChainConfig:
 
     def __post_init__(self):
         weight = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(weight - 1.0) <= 1e-12:
+        if not abs(weight - 1.0) <= qcore.UNIT_TOL:
             raise DomainError(f"|alpha|^2 + |beta|^2 = {weight}, must be 1")
         if not 1 <= self.n_devices <= MAX_DEVICES:
             raise DimensionError(
@@ -144,4 +144,4 @@ def no_collapse_witness(result: ChainResult) -> bool:
     Global purity must still be 1 (no collapse happened) while the reduced
     atom carries positive entropy (the device is entangled with it).
     """
-    return abs(result.global_purity - 1.0) <= 1e-12 and result.atom_entropy_bits > 1e-9
+    return abs(result.global_purity - 1.0) <= qcore.UNIT_TOL and result.atom_entropy_bits > 1e-9

@@ -4,8 +4,8 @@ Usage: paradox-lab <experiment> [key=value ...] [--config FILE] [--out DIR]
 
 Configs are flat typed key=value pairs, accepted both as command-line
 tokens and as lines of a config file (tokens override the file).  Every
-run is seeded (default 0xC0FFEE, overridable by the PARADOX_LAB_SEED
-environment variable) and writes result.json plus CSV data series;
+run is seeded (default 0xC0FFEE; PARADOX_LAB_SEED in the environment
+overrides seed= from both) and writes result.json plus CSV data series;
 identical config and seed produce byte-identical output.
 
 Each experiment is one entry of ``EXPERIMENTS``: its keys, its runner and a
@@ -65,20 +65,18 @@ _COMMON = {
 }
 
 _ZENO_KEYS = {
-    "B": _KeySpec("float", 1.0, strictly_positive=True),
-    "T": _KeySpec("float", None, strictly_positive=True),
+    "B": _KeySpec("float", zeno.ZenoConfig.B, strictly_positive=True),
+    "T": _KeySpec("float", zeno.ZenoConfig.T, strictly_positive=True),
     # one trial's row of N uniforms must fit in one Monte Carlo chunk
-    "N": _KeySpec("int", 10, minimum=1, maximum=DRAW_BUDGET),
-    "trials": _KeySpec("int", 100000, minimum=1),
+    "N": _KeySpec("int", zeno.ZenoConfig.N, minimum=1, maximum=DRAW_BUDGET),
+    "trials": _KeySpec("int", zeno.ZenoConfig.trials, minimum=1),
     "sweep": _KeySpec("str", "1,2,5,10,50"),
 }
 
+_BELL_ANGLES = ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime")  # from_angles' order
 _BELL_KEYS = {
     "trials": _KeySpec("int", 100000, minimum=1),
-    "theta_a": _KeySpec("float", 0.0),
-    "theta_a_prime": _KeySpec("float", math.pi / 2.0),
-    "theta_b": _KeySpec("float", math.pi / 4.0),
-    "theta_b_prime": _KeySpec("float", 3.0 * math.pi / 4.0),
+    **{key: _KeySpec("float", angle) for key, angle in zip(_BELL_ANGLES, bell.OPTIMAL_ANGLES)},
 }
 
 _TWOSLIT_KEYS = {
@@ -88,8 +86,10 @@ _TWOSLIT_KEYS = {
     # H / delta_p_s stays a finite double
     "delta_p_s": _KeySpec("float", None, minimum=1e-300),
     # the direct convolution costs grid x kernel; 4x the benchmark's 16384
-    "grid": _KeySpec("int", 2048, minimum=twoslit.MIN_GRID, maximum=65536),
-    "span_fringes": _KeySpec("float", 8.0, minimum=twoslit.MIN_SPAN_FRINGES),
+    "grid": _KeySpec("int", twoslit.DEFAULT_GRID, minimum=twoslit.MIN_GRID, maximum=65536),
+    "span_fringes": _KeySpec(
+        "float", twoslit.DEFAULT_SPAN_FRINGES, minimum=twoslit.MIN_SPAN_FRINGES
+    ),
     "sweep": _KeySpec("bool", True),
 }
 
@@ -98,9 +98,12 @@ _CAT_KEYS = {
     "alpha_im": _KeySpec("float", 0.0),
     "beta_re": _KeySpec("float", _INV_SQRT2),
     "beta_im": _KeySpec("float", 0.0),
-    "n_devices": _KeySpec("int", 1, minimum=1, maximum=catlab.MAX_DEVICES),
+    "n_devices": _KeySpec(
+        "int", catlab.ChainConfig.n_devices, minimum=1, maximum=catlab.MAX_DEVICES
+    ),
     "trials": _KeySpec("int", 100000, minimum=0),
 }
+_CAT_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)  # cat_born_vs_weight.csv: one draw per trial each
 
 _BOUNDS_KEYS = {
     # 1/T**2 stays a finite, nonzero double
@@ -265,16 +268,13 @@ def _check_zeno(params: dict) -> tuple[zeno.ZenoConfig, list[int]]:
 
 
 def _check_bell(params: dict) -> bell.ChshSettings:
-    # two uniforms per trial: the A outcome, then B conditioned on it
-    _check_draws(params, 2)
-    keys = ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime")
-    return bell.ChshSettings.from_angles(*(params[key] for key in keys))
+    _check_draws(params, bell.DRAWS_PER_TRIAL)
+    return bell.ChshSettings.from_angles(*(params[key] for key in _BELL_ANGLES))
 
 
 def _check_cat(params: dict) -> catlab.ChainConfig:
     alpha, beta = _normalized_pair(params)
-    # one uniform per trial for the main run and for each of five weights
-    _check_draws(params, 6)
+    _check_draws(params, 1 + len(_CAT_WEIGHTS))
     return catlab.ChainConfig(alpha, beta, params["n_devices"], params["trials"], params["seed"])
 
 
@@ -416,20 +416,19 @@ def _run_cat(cfg: RunConfig):
 
     csvs = []
     if chain_cfg.trials > 0:
-        weights = (0.0, 0.25, 0.5, 0.75, 1.0)
         per_weight = [
             catlab.born_statistics(
                 replace(
                     chain_cfg,
                     alpha=math.sqrt(weight),
                     beta=math.sqrt(1.0 - weight),
-                    seed=(chain_cfg.seed + index) % 2**64,
+                    seed=(chain_cfg.seed + index) % (MAX_SEED + 1),
                 )
             )
-            for index, weight in enumerate(weights)
+            for index, weight in enumerate(_CAT_WEIGHTS)
         ]
         columns = (
-            weights,
+            _CAT_WEIGHTS,
             [stats.f_up for stats in per_weight],
             [stats.f_down for stats in per_weight],
             [stats.stderr for stats in per_weight],

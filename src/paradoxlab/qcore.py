@@ -29,7 +29,7 @@ from .errors import (
 )
 from .rng import SeededStream
 
-NORM_TOL = 1e-9
+UNIT_TOL = 1e-12  # |n|^2, ||psi||^2, sum p and Tr rho must be 1 within this
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9  # eigenvalues closer than this share one projector
@@ -62,7 +62,7 @@ class SpinDirection:
 
     def __post_init__(self):
         norm_sq = self.nx**2 + self.ny**2 + self.nz**2
-        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > 1e-12:
+        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > UNIT_TOL:
             raise DirectionError(f"direction must be a unit vector, |n|^2 = {norm_sq}")
 
 
@@ -91,9 +91,9 @@ class StateVector:
             )
         if not np.isfinite(amps).all():
             raise NumericalError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NumericalError(f"state norm {norm} is not 1; use make_state")
+        norm_sq = float(np.vdot(amps, amps).real)
+        if abs(norm_sq - 1.0) > UNIT_TOL:
+            raise NumericalError(f"state norm squared {norm_sq} is not 1; use make_state")
 
     @property
     def dim(self) -> int:
@@ -227,7 +227,7 @@ def born_probabilities(
         p = float(np.vdot(psi, proj @ psi).real)
         pairs.append((value, max(p, 0.0)))
     total = sum(p for _, p in pairs)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > UNIT_TOL:
         raise NumericalError(f"Born probabilities sum to {total}")
     return pairs
 
@@ -267,7 +267,7 @@ class DensityMatrix:
             raise NumericalError("density matrix entries must be finite")
         _check_hermitian(mat, "density matrix")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > 1e-12:
+        if abs(trace - 1.0) > UNIT_TOL:
             raise NumericalError(f"density matrix trace {trace} is not 1")
         if float(np.min(np.linalg.eigvalsh(mat))) < -1e-10:
             raise NumericalError("density matrix has a negative eigenvalue")

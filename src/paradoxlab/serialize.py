@@ -66,8 +66,9 @@ def _render(value, indent: int) -> str:
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
-            items = map(str, value)  # counts and histograms, the long lists
+        if set(map(type, value)) == {int}:  # long count lists: one string per block, not per count
+            sep, blocks = f",\n{'  ' * indent}  ", range(0, len(value), _BLOCK_ROWS)
+            items = [sep.join(map(str, value[lo : lo + _BLOCK_ROWS])) for lo in blocks]
         else:
             items = [_render(item, indent + 1) for item in value]
         brackets = "[]"

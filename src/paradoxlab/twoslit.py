@@ -20,6 +20,8 @@ from .errors import DomainError, GeometryError, ResolutionError
 KERNEL_REACH_SIGMAS = 8.0  # Gaussian truncation; residual mass < 1e-14
 MIN_GRID = 64
 MIN_SPAN_FRINGES = 4.0
+DEFAULT_GRID = 2048
+DEFAULT_SPAN_FRINGES = 8.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def sample_points(spacing: float, grid: int, span: float) -> np.ndarray:
 def pattern(
     g: TwoSlitGeometry,
     smear_sigma: float,
-    grid: int = 2048,
+    grid: int = DEFAULT_GRID,
     span: float | None = None,
 ) -> IntensityProfile:
     """Ideal fringes convolved with a Gaussian screen-position smear.
@@ -125,7 +127,7 @@ def pattern(
         raise DomainError(f"smear_sigma must be nonnegative, got {smear_sigma}")
     spacing = fringe_spacing(g)
     if span is None:
-        span = 8.0 * spacing
+        span = DEFAULT_SPAN_FRINGES * spacing
     if grid < MIN_GRID:
         raise ResolutionError(f"grid must be >= {MIN_GRID}, got {grid}")
     if span < MIN_SPAN_FRINGES * spacing:

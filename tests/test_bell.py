@@ -1,6 +1,7 @@
 """Singlet correlations, CHSH statistics, and the local deterministic bound."""
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -205,6 +206,21 @@ class TestChsh:
                 exact_correlations=(0, 0, 0, 0),
                 counts={},
             )
+
+    def test_outcome_of_probability_zero_is_never_drawn(self):
+        # on |+x,+x> at angle 0, A = -1 has probability exactly 0
+        state = qcore.make_state((2, 2), (0.5,) * 4)
+        x = bell.MeasurementSetting(0.0)
+        joint = bell.joint_probabilities(state, x, x)
+        assert (joint[(-1, -1)], joint[(-1, 1)]) == (0.0, 0.0)
+        assert joint[(1, -1)] == pytest.approx(0.0, abs=1e-15)
+        assert joint[(1, 1)] == pytest.approx(1.0, abs=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            settings = bell.ChshSettings.from_angles(0.0, 0.0, 0.0, 0.0)
+            result = bell.chsh(state, settings, 400, SeededStream(3))
+        for tally in result.counts.values():
+            assert tally == {"--": 0, "-+": 0, "+-": 0, "++": 100}
 
     def test_trials_validated(self):
         with pytest.raises(DomainError):

@@ -378,6 +378,16 @@ class TestMain:
         record = read_json(tmp_path / "out" / "result.json")
         assert record["config"]["points"] == 5
 
+    def test_settings_only_with_the_experiment_from_the_config(self, tmp_path):
+        # the first key=value lands in argparse's experiment slot
+        config = tmp_path / "run.cfg"
+        config.write_text("experiment=zeno\ntrials=300\n")
+        code = main(["N=7", "sweep=3", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 0
+        record = read_json(tmp_path / "out" / "result.json")
+        assert record["experiment"] == "zeno"
+        assert (record["config"]["N"], record["config"]["sweep"]) == (7, "3")
+
     def test_bad_config_is_exit_two(self, tmp_path, capsys):
         assert main(["zeno", "N=0", "--out", str(tmp_path)]) == 2
         assert "N" in capsys.readouterr().err

@@ -77,6 +77,25 @@ class TestMakeState:
             qcore.make_state((2,), (float("nan"), 1.0))
 
 
+class TestUnitTolerance:
+    """One tolerance on squared norms: every state StateVector accepts can be measured."""
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_state_within_the_tolerance_is_measurable(self, offset):
+        scale = math.sqrt(1.0 + offset * qcore.UNIT_TOL)
+        state = qcore.StateVector((2,), np.array([0.6, 0.8j]) * scale)
+        x = qcore.spin_observable(qcore.SpinDirection(1.0, 0.0, 0.0))
+        pairs = qcore.born_probabilities(state, qcore.eigen_projectors(x))
+        assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=qcore.UNIT_TOL)
+        assert qcore.density(state).dim == 2
+        assert qcore.measure(state, x, SeededStream(5))[0] in (-1.0, 1.0)
+
+    @pytest.mark.parametrize("amplitude", [1.0 + 4e-10, 1.0 - 4e-10, math.sqrt(1.0 + 2e-12)])
+    def test_state_beyond_the_tolerance_is_rejected_at_construction(self, amplitude):
+        with pytest.raises(NumericalError, match="norm squared"):
+            qcore.StateVector((2,), [amplitude, 0.0])
+
+
 class TestTensor:
     def test_basis_product(self):
         up = qcore.make_state((2,), (1.0, 0.0))

@@ -328,6 +328,19 @@ class TestJson:
         record = {"items": items, "nest": {"deeper": [items, items]}}
         assert dumps(record) == recursive_dumps(record)
 
+    def test_int_list_peak_memory_bounded_by_its_text(self):
+        # counts are joined a block at a time: one string per count, held
+        # until the whole list was joined, peaked near 5.8x the text
+        record = {"result": {"jump_times": tuple(range(2**17))}}
+        tracemalloc.start()
+        try:
+            text = dumps(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), (peak, len(text))
+        assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("bad", [[1, np.int64(2)], [1.0, math.nan], [object()]])
     def test_unsupported_items_still_raise(self, bad):
         with pytest.raises(DomainError):
