@@ -109,6 +109,10 @@ def make_state(dims: Sequence[int], amplitudes) -> StateVector:
     amps = np.asarray(amplitudes, dtype=complex)
     if not np.isfinite(amps).all():
         raise NumericalError("amplitudes must be finite")
+    # entries whose squares would leave the normal doubles are scaled to magnitude 1
+    largest = float(np.max(np.abs([amps.real, amps.imag]), initial=0.0))
+    if largest > 0.0 and not 1e-150 <= largest <= 1e150:
+        amps = amps / largest
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ZeroNormError("cannot normalize the zero vector")

@@ -59,8 +59,11 @@ def _check_trial(name: str, index: int) -> None:
         raise DomainError(f"{name} must be at most 2**64 - 2 = {_MAX_TRIAL}, got {index}")
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product ``m * x``, from 32-bit halves."""
+def _mulhilo(m: int | np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product ``m * x``, from 32-bit halves.
+
+    ``m`` is a 64-bit int or a uint64 array of the same shape as ``x``.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo = x & _LO32
     x_hi = x >> _S32

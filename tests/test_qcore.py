@@ -76,6 +76,21 @@ class TestMakeState:
         with pytest.raises(NumericalError):
             qcore.make_state((2,), (float("nan"), 1.0))
 
+    @pytest.mark.parametrize(
+        "amplitudes, expected",
+        [
+            ((1e-160, 0.0), [1.0, 0.0]),
+            ((1e-170, 0.0), [1.0, 0.0]),
+            ((1e170, 0.0), [1.0, 0.0]),
+            ((1e-170, 1e-170), [INV_SQRT2, INV_SQRT2]),
+            ((1e300 + 1e300j, 0.0), [(1.0 + 1.0j) * INV_SQRT2, 0.0]),
+        ],
+        ids=["1e-160", "1e-170", "1e170", "both-1e-170", "complex-1e300"],
+    )
+    def test_amplitudes_whose_squares_leave_the_doubles(self, amplitudes, expected):
+        state = qcore.make_state((2,), amplitudes)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-15, atol=1e-15)
+
 
 class TestUnitTolerance:
     """One tolerance on squared norms: every state StateVector accepts can be measured."""

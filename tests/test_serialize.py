@@ -1,5 +1,6 @@
 """Columnar CSV writer and JSON renderer: bytes must equal the cell-by-cell forms."""
 
+import decimal
 import json
 import math
 import tracemalloc
@@ -113,6 +114,54 @@ class TestFloatColumns:
         with pytest.raises(DomainError) as got:
             write_csv(tmp_path / "bad.csv", ["v"], [column])
         assert str(got.value) == str(expected.value)
+
+
+def _tie(value: float) -> bool:
+    """Whether the exact decimal of ``value`` has 18 significant digits, the last a 5."""
+    digits = decimal.Decimal(value).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+TIES = [1 + 2.0**-17, 1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.875, 2.0**47 + 0.125]
+TIES += [-v for v in TIES]
+
+
+@pytest.fixture
+def to_percent(monkeypatch):
+    """The values that reach the ``%`` call, recorded as they go."""
+    seen, percent = [], serialize._percent_format
+    monkeypatch.setattr(serialize, "_percent_format", lambda v: seen.extend(v) or percent(v))
+    return seen
+
+
+class TestExactKernel:
+    """``_format_doubles`` above the crossover builds the digits itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(finite_doubles, min_size=1, max_size=60))
+    def test_both_sides_of_the_crossover_match_format_float(self, values):
+        for n in (len(values), serialize._EXACT_MIN):
+            column = np.resize(np.array(values, dtype=np.float64), n)
+            assert serialize._format_doubles(column) == [format_float(v) for v in column.tolist()]
+
+    def test_fixed_cases(self, to_percent):
+        powers = [10.0**k for k in range(-300, 301)]
+        cases = powers + [math.nextafter(p, 0.0) for p in powers]
+        cases += [math.nextafter(p, math.inf) for p in powers]
+        for edge in (1e-5, 1e-4, 1e16, 1e17):  # the fixed-notation range is -4 <= X <= 16
+            cases += _around(edge) + _around(-edge)
+        cases += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.0, -0.0] + TIES
+        assert len(cases) >= serialize._EXACT_MIN and all(map(_tie, TIES))
+        assert serialize._format_doubles(np.array(cases)) == [format_float(v) for v in cases]
+        assert set(TIES) <= set(to_percent)  # a true tie is left to the correctly rounded %
+
+    @pytest.mark.parametrize("square", [False, True], ids=["T", "1/T**2"])
+    def test_the_kernel_formats_almost_every_value_itself(self, to_percent, square):
+        column = np.geomspace(0.1, 100.0, 16384)
+        if square:
+            column = 1.0 / column**2
+        assert serialize._format_doubles(column) == [format_float(v) for v in column.tolist()]
+        assert len(to_percent) <= 4, to_percent
 
 
 class TestTables:
