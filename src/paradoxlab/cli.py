@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__, bell, bounds, catlab, lightcone, twoslit, zeno
 from .errors import BoostError, ConfigError, ParadoxLabError, ResolutionError
-from .montecarlo import DRAW_BUDGET
 from .rng import DEFAULT_SEED, MAX_SEED, SeededStream
 from .serialize import write_csv, write_json
 
@@ -48,6 +47,10 @@ MAX_DRAWS = 2**32
 LIGHTCONE_MAX_CELLS = 5_000_000
 # one CSV row per point, the same table size as the lightcone region
 BOUNDS_MAX_POINTS = LIGHTCONE_MAX_CELLS
+# Most measurements in one Zeno trial, N or a sweep entry: a row longer than a
+# Monte Carlo chunk's draw budget gets a chunk to itself, whose uniform block
+# this caps at 4 MiB of float64.
+ZENO_MAX_ROW = 2**19
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,7 @@ _COMMON = {
 _ZENO_KEYS = {
     "B": _KeySpec("float", zeno.ZenoConfig.B, strictly_positive=True),
     "T": _KeySpec("float", zeno.ZenoConfig.T, strictly_positive=True),
-    # one trial's row of N uniforms must fit in one Monte Carlo chunk
-    "N": _KeySpec("int", zeno.ZenoConfig.N, minimum=1, maximum=DRAW_BUDGET),
+    "N": _KeySpec("int", zeno.ZenoConfig.N, minimum=1, maximum=ZENO_MAX_ROW),
     "trials": _KeySpec("int", zeno.ZenoConfig.trials, minimum=1),
     "sweep": _KeySpec("str", "1,2,5,10,50"),
 }

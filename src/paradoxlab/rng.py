@@ -13,7 +13,8 @@ another trial's block, or onto the master stream, and are rejected.
 
 ``SeededStream.uniform_block`` evaluates many substreams at once.  Short rows
 go through a numpy Philox evaluated for the whole (trial, step) counter grid,
-a tile of rows at a time so that its extra memory stays bounded.  Long rows
+a tile of rows at a time, in place on scratch that the master stream keeps, so
+its extra memory stays bounded and is allocated once per stream.  Long rows
 keep one native ``advance`` per trial and ``Generator.random`` into the row:
 a fixed few microseconds per trial, but several times faster per draw than
 the numpy rounds once a row is long.  Both paths produce the same bits.
@@ -59,61 +60,94 @@ def _check_trial(name: str, index: int) -> None:
         raise DomainError(f"{name} must be at most 2**64 - 2 = {_MAX_TRIAL}, got {index}")
 
 
-def _mulhilo(m: int | np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(m, x: np.ndarray, hi=None, lo=None, tmp=(None,) * 3) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit product ``m * x``, from 32-bit halves.
 
-    ``m`` is a 64-bit int or a uint64 array of the same shape as ``x``.
+    ``m`` is a 64-bit int or a uint64 array of the same shape as ``x``.  Given
+    ``hi``, ``lo`` and three ``tmp`` arrays of ``x``'s shape, the words and the
+    scratch go there instead of into new arrays; ``lo`` may be ``x`` itself.
     """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo = x & _LO32
-    x_hi = x >> _S32
-    t = x_lo * m_lo
+    x_lo, t, u = tmp
+    x_lo = np.bitwise_and(x, _LO32, out=x_lo)
+    x_hi = np.right_shift(x, _S32, out=hi)
+    t = np.multiply(x_lo, m_lo, out=t)
     t >>= _S32
-    t += x_hi * m_lo  # x_hi*m_lo + carry out of x_lo*m_lo: fits in 64 bits
+    t += np.multiply(x_hi, m_lo, out=u)  # x_hi*m_lo + carry out of x_lo*m_lo: fits in 64 bits
     x_lo *= m_hi
-    x_lo += t & _LO32
+    x_lo += np.bitwise_and(t, _LO32, out=u)
     x_lo >>= _S32
     t >>= _S32
     x_hi *= m_hi
     x_hi += t
     x_hi += x_lo
-    return x_hi, x * np.uint64(m)
+    return x_hi, np.multiply(x, np.uint64(m), out=lo)
 
 
-def _philox(seed: int, c0: np.ndarray, c3: np.ndarray) -> tuple[np.ndarray, ...]:
+def _philox(seed: int, c0: np.ndarray, c3: np.ndarray, scratch: list) -> tuple[np.ndarray, ...]:
     """Philox4x64-10 of the counter words ``(c0, 0, 0, c3)`` under key ``(seed, 0)``.
 
     ``c0`` and ``c3`` are uint64 arrays that broadcast against each other; the
     four output words have the broadcast shape.  Words that are constant along
     an axis stay unexpanded until a round mixes them, which skips about a fifth
-    of the grid-wide multiplies.
+    of the grid-wide multiplies.  Every grid-wide word and temporary lives in
+    ``scratch``, eight uint64 arrays of the broadcast shape, and the rounds work
+    on them in place; the four output words are four of them.
     """
+    shape = np.broadcast_shapes(c0.shape, c3.shape)
+    free = list(scratch)
+    ours = {id(a) for a in scratch}
+
+    def mul(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the low words overwrite a grid-wide x, which no later step reads
+        return _mulhilo(m, x, free.pop(), x, free[-3:]) if id(x) in ours else _mulhilo(m, x)
+
+    def xor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+        # a ^ b ^ k, into a grid-wide operand, else a free array if it spans the grid
+        if id(b) in ours:
+            a, b = b, a
+        if id(a) in ours:
+            out = a
+        else:
+            out = free.pop() if np.broadcast_shapes(a.shape, b.shape) == shape else None
+        out = np.bitwise_xor(a, b, out=out)
+        out ^= np.uint64(k)
+        if id(b) in ours:
+            free.append(b)
+        return out
+
     c1 = c2 = np.zeros((1, 1), dtype=np.uint64)
     k0, k1 = seed, 0
     for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0 = hi1 ^ c1
-        c0 ^= np.uint64(k0)
-        c2 = hi0 ^ c3
-        c2 ^= np.uint64(k1)
-        c1, c3 = lo1, lo0
+        hi0, c0 = mul(_PHILOX_M[0], c0)
+        hi0 = xor(hi0, c3, k1)  # before the second product, so eight arrays suffice
+        hi1, c3 = mul(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = xor(hi1, c1, k0), c3, hi0, c0
         k0 = (k0 + _PHILOX_W[0]) % 2**64
         k1 = (k1 + _PHILOX_W[1]) % 2**64
     return c0, c1, c2, c3
 
 
-def _fill_grid(seed: int, first: int, out: np.ndarray) -> None:
-    """Fill row ``i`` of ``out`` with trial ``first + i``'s draws, tile by tile."""
+def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None = None) -> None:
+    """Fill row ``i`` of ``out`` with trial ``first + i``'s draws, tile by tile.
+
+    ``tile`` is the kernel's scratch, a ``(12, _TILE_BLOCKS)`` uint64 array (a
+    new one if omitted): four rows for the raw tile's four words per counter
+    block, then one row for each of ``_philox``'s eight word arrays.
+    """
+    if tile is None:
+        tile = np.empty((12, _TILE_BLOCKS), dtype=np.uint64)
     n_streams, draws = out.shape
     steps = -(-draws // 4)
     c0 = np.arange(1, steps + 1, dtype=np.uint64)[None, :]
     rows = max(1, _TILE_BLOCKS // steps)
     for lo in range(0, n_streams, rows):
         hi = min(lo + rows, n_streams)
+        size = (hi - lo) * steps
         c3 = np.arange(hi - lo, dtype=np.uint64)[:, None] + np.uint64(first + lo + 1)
-        raw = np.empty((hi - lo, steps, 4), dtype=np.uint64)
-        for j, word in enumerate(_philox(seed, c0, c3)):
+        words = [word[:size].reshape(hi - lo, steps) for word in tile[4:]]
+        raw = tile[:4].reshape(-1)[: 4 * size].reshape(hi - lo, steps, 4)
+        for j, word in enumerate(_philox(seed, c0, c3, words)):
             raw[:, :, j] = word
         raw >>= np.uint64(11)
         np.multiply(raw.reshape(hi - lo, 4 * steps)[:, :draws], _INV_2_53, out=out[lo:hi])
@@ -145,6 +179,12 @@ class SeededStream:
         return np.random.Generator(
             np.random.Philox(key=self.seed, counter=self._block << _BLOCK_SHIFT)
         )
+
+    @cached_property
+    def _tile(self) -> np.ndarray:
+        # the grid kernel's scratch, kept across uniform_block calls so that each
+        # chunk reuses it; uniform_block is therefore not safe across threads
+        return np.empty((12, _TILE_BLOCKS), dtype=np.uint64)
 
     def substream(self, index: int) -> "SeededStream":
         """Independent stream for trial ``index``.  Single-level only."""
@@ -178,6 +218,8 @@ class SeededStream:
         last = first + max(n_streams, 1) - 1
         _check_trial("uniform_block's last trial index first + n_streams - 1", last)
         out = np.empty((n_streams, draws))
-        fill = _fill_grid if draws <= _GRID_MAX_DRAWS else _fill_rows
-        fill(self.seed, first, out)
+        if draws <= _GRID_MAX_DRAWS:
+            _fill_grid(self.seed, first, out, self._tile)
+        else:
+            _fill_rows(self.seed, first, out)
         return out

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paradoxlab import cli, zeno
+from paradoxlab import cli, rng, zeno
 from paradoxlab.cli import DEFAULT_SEED, main, parse_config, run
 from paradoxlab.errors import ConfigError
-from paradoxlab.montecarlo import DRAW_BUDGET
+from paradoxlab.rng import SeededStream
 from paradoxlab.serialize import dumps
 
 
@@ -121,7 +121,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("experiment", ["zeno", "dual-zeno"])
     def test_zeno_row_length_capped_at_the_draw_budget(self, experiment):
-        cap = DRAW_BUDGET
+        cap = cli.ZENO_MAX_ROW
+        assert cap == 2**19
         parse_config([f"experiment={experiment}", f"N={cap}", "trials=1", f"sweep={cap}"])
         with pytest.raises(ConfigError, match=f"key 'N' must be <= {cap}, got {cap + 1}"):
             parse_config([f"experiment={experiment}", f"N={cap + 1}", "trials=1"])
@@ -310,6 +311,22 @@ class TestCsvContract:
         assert t.tolist() == ts
         assert x.tolist() == xs
         assert set(allowed.tolist()) <= {0, 1}
+
+    @pytest.mark.parametrize("experiment", ["zeno", "bell", "cat"])
+    def test_default_runs_draw_at_most_one_grid_tile_per_block(self, monkeypatch, experiment):
+        # a chunk's uniform block never spans more counter blocks than the
+        # grid kernel computes at once, so no block needs a second tile
+        shapes = []
+        uniform_block = SeededStream.uniform_block
+
+        def spy(stream, n_streams, draws, first=0):
+            shapes.append((n_streams, draws))
+            return uniform_block(stream, n_streams, draws, first)
+
+        monkeypatch.setattr(SeededStream, "uniform_block", spy)
+        cli.EXPERIMENTS[experiment].run(parse_config([f"experiment={experiment}"]))
+        assert len(shapes) > 1
+        assert all(n * -(-draws // 4) <= rng._TILE_BLOCKS for n, draws in shapes)
 
     def test_lightcone_region_memory_bounded_by_its_columns(self):
         # 787 x 1,349 = 1,061,663 cells.  The CSV columns take 17 bytes a cell

@@ -85,6 +85,18 @@ def test_uniform_block_matches_substreams():
             np.testing.assert_array_equal(block[i], expected)
 
 
+def test_uniform_block_returns_a_new_array_each_call():
+    # the stream reuses its kernel scratch across calls, never the result
+    master = SeededStream(31)
+    for draws in (3, CUTOFF + 1):
+        first = master.uniform_block(50, draws)
+        kept = first.copy()
+        second = master.uniform_block(50, draws, first=50)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+
 def test_uniform_block_partition_invariant():
     master = SeededStream(77)
     whole = master.uniform_block(40, 3)

@@ -130,6 +130,7 @@ class TestChunking:
     def test_worker_memory_bounded_by_the_draw_budget(self):
         # one 500-trial chunk of 20000 draws would hold an 80 MB uniform block
         p_minus = zeno._step_probability(cfg_with(20000), dual=False)
+        zeno._sample_survival(p_minus, 20000, 1, 3)  # loads numpy.random: once per process
         tracemalloc.start()
         try:
             zeno._sample_survival(p_minus, 20000, 500, 3)
@@ -137,6 +138,22 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * montecarlo.DRAW_BUDGET
+
+    @pytest.mark.parametrize(
+        "p_minus, steps, trials, limit",
+        [(0.01, 10, 100_000, 3 * 2**20), (1e-8, 20000, 500, 2 * 2**20)],
+        ids=["grid-rows", "native-rows"],
+    )
+    def test_peak_memory_of_a_run(self, p_minus, steps, trials, limit):
+        # a one-tile chunk plus the stream's kept kernel scratch (1.5 MiB) on
+        # the grid path; 6.05 and 5.35 MiB with chunks of 2**19 draws
+        tracemalloc.start()
+        try:
+            zeno._sample_survival(p_minus, steps, trials, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
     def test_memory_does_not_grow_with_trials_at_the_row_cap(self):
         # rows of 2**19 draws make one chunk per trial; the block, its bool
