@@ -87,7 +87,8 @@ _TWOSLIT_KEYS = {
     "screen_distance": _KeySpec("float", 100.0, strictly_positive=True),
     # H / delta_p_s stays a finite double
     "delta_p_s": _KeySpec("float", None, minimum=1e-300),
-    # the direct convolution costs grid x kernel; 4x the benchmark's 16384
+    # the main profile's direct convolution costs grid x kernel (the sweep
+    # convolves only near its extrema); 4x the benchmark's 16384
     "grid": _KeySpec("int", twoslit.DEFAULT_GRID, minimum=twoslit.MIN_GRID, maximum=65536),
     "span_fringes": _KeySpec(
         "float", twoslit.DEFAULT_SPAN_FRINGES, minimum=twoslit.MIN_SPAN_FRINGES
@@ -371,8 +372,7 @@ def _run_twoslit(cfg: RunConfig):
     if cfg.params["sweep"]:
         ratios = [i / 10.0 for i in range(11)]
         visibilities = [
-            twoslit.visibility(twoslit.pattern(geometry, ratio * spacing, grid, span))
-            for ratio in ratios
+            twoslit.smeared_visibility(geometry, ratio * spacing, grid, span) for ratio in ratios
         ]
         header = ("sigma_over_spacing", "visibility")
         csvs.append(("twoslit_visibility_sweep.csv", header, (ratios, visibilities)))

@@ -15,9 +15,10 @@ another trial's block, or onto the master stream, and are rejected.
 go through a numpy Philox evaluated for the whole (trial, step) counter grid,
 a tile of rows at a time, in place on scratch that the master stream keeps, so
 its extra memory stays bounded and is allocated once per stream.  Long rows
-keep one native ``advance`` per trial and ``Generator.random`` into the row:
-a fixed few microseconds per trial, but several times faster per draw than
-the numpy rounds once a row is long.  Both paths produce the same bits.
+go through one native Philox that the master stream also keeps: one
+``advance`` per trial and ``Generator.random`` into the row, a fixed few
+microseconds per trial, but several times faster per draw than the numpy
+rounds once a row is long.  Both paths produce the same bits.
 """
 
 from __future__ import annotations
@@ -153,17 +154,21 @@ def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None =
         np.multiply(raw.reshape(hi - lo, 4 * steps)[:, :draws], _INV_2_53, out=out[lo:hi])
 
 
-def _fill_rows(seed: int, first: int, out: np.ndarray) -> None:
-    """Same as ``_fill_grid``: advance one native Philox per row, ``Generator.random`` into it."""
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
+def _fill_rows(seed: int, first: int, out: np.ndarray, native=None) -> int:
+    """Same as ``_fill_grid``: advance one native Philox per row, ``Generator.random`` into it.
+
+    ``native`` is a ``(generator, position)`` pair whose Philox is keyed by
+    ``seed`` and has its counter at ``position`` (a new one at 0 if omitted).
+    Returns the counter position after the last row.
+    """
+    gen, position = native or (np.random.Generator(np.random.Philox(key=seed)), 0)
     steps = -(-out.shape[1] // 4)  # Philox emits 4 uint64 per counter step
-    position = 0
     for i in range(out.shape[0]):
         target = (first + i + 1) << _BLOCK_SHIFT
-        bitgen.advance(target - position)
+        gen.bit_generator.advance((target - position) % 2**256)  # the counter wraps
         gen.random(out=out[i])
         position = target + steps
+    return position
 
 
 class SeededStream:
@@ -172,6 +177,7 @@ class SeededStream:
     def __init__(self, seed: int, _block: int = 0):
         self.seed = check_seed(int(seed))
         self._block = int(_block)
+        self._rows_at = 0  # the counter position of _rows' Philox
 
     @cached_property
     def _gen(self) -> np.random.Generator:
@@ -185,6 +191,12 @@ class SeededStream:
         # the grid kernel's scratch, kept across uniform_block calls so that each
         # chunk reuses it; uniform_block is therefore not safe across threads
         return np.empty((12, _TILE_BLOCKS), dtype=np.uint64)
+
+    @cached_property
+    def _rows(self) -> np.random.Generator:
+        # the long-row path's native Philox, kept across uniform_block calls like
+        # _tile; each call advances it from where the last one left it
+        return np.random.Generator(np.random.Philox(key=self.seed))
 
     def substream(self, index: int) -> "SeededStream":
         """Independent stream for trial ``index``.  Single-level only."""
@@ -221,5 +233,5 @@ class SeededStream:
         if draws <= _GRID_MAX_DRAWS:
             _fill_grid(self.seed, first, out, self._tile)
         else:
-            _fill_rows(self.seed, first, out)
+            self._rows_at = _fill_rows(self.seed, first, out, (self._rows, self._rows_at))
         return out

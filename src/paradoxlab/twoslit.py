@@ -112,16 +112,15 @@ def sample_points(spacing: float, grid: int, span: float) -> np.ndarray:
     return xs
 
 
-def pattern(
-    g: TwoSlitGeometry,
-    smear_sigma: float,
-    grid: int = DEFAULT_GRID,
-    span: float | None = None,
-) -> IntensityProfile:
-    """Ideal fringes convolved with a Gaussian screen-position smear.
+def _profile_inputs(
+    g: TwoSlitGeometry, smear_sigma: float, grid: int, span: float | None
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray | None]:
+    """Checked sample points, fringe spacing, ideal profile and smear kernel.
 
-    The ideal profile is 1 + cos(2*pi*x/D); the convolution is evaluated on
-    an extended grid so the returned window carries no edge artifacts.
+    Without a smear the kernel is None and the ideal profile 1 + cos(2*pi*x/D)
+    is sampled at the points.  With one, the ideal profile runs half a kernel
+    beyond each end, so its valid convolution with the kernel carries no edge
+    artifacts.
     """
     if smear_sigma < 0 or not math.isfinite(smear_sigma):
         raise DomainError(f"smear_sigma must be nonnegative, got {smear_sigma}")
@@ -135,19 +134,117 @@ def pattern(
             f"span {span} covers fewer than {MIN_SPAN_FRINGES:g} fringes of {spacing}"
         )
     xs = sample_points(spacing, grid, span)
-    dx = xs[1] - xs[0]
     if smear_sigma == 0.0:
-        intensities = 1.0 + np.cos(2.0 * math.pi * xs / spacing)
-        return IntensityProfile(xs, intensities, spacing)
+        return xs, spacing, 1.0 + np.cos(2.0 * math.pi * xs / spacing), None
+    dx = xs[1] - xs[0]
     halfwidth = int(math.ceil(KERNEL_REACH_SIGMAS * smear_sigma / dx))
-    offsets = np.arange(-halfwidth, grid + halfwidth) * dx + xs[0]
-    ideal = 1.0 + np.cos(2.0 * math.pi * offsets / spacing)
+    # built in place, one array each, with the roundings, in order, of
+    # 1 + cos(2*pi*(n*dx + x_0)/D) and exp(-0.5*(m*dx/sigma)**2)
+    ideal = np.arange(-halfwidth, grid + halfwidth) * dx
+    ideal += xs[0]
+    ideal *= 2.0 * math.pi
+    ideal /= spacing
+    np.cos(ideal, out=ideal)
+    ideal += 1.0
+    kernel = np.arange(-halfwidth, halfwidth + 1) * dx
     # a square beyond the double range is weight exp(-inf) = 0
     with np.errstate(over="ignore"):
-        kernel = np.exp(-0.5 * (np.arange(-halfwidth, halfwidth + 1) * dx / smear_sigma) ** 2)
+        kernel /= smear_sigma
+        np.square(kernel, out=kernel)
+        kernel *= -0.5
+        np.exp(kernel, out=kernel)
     kernel /= kernel.sum()
-    intensities = np.convolve(ideal, kernel, mode="valid")
-    return IntensityProfile(xs, np.maximum(intensities, 0.0), spacing)
+    return xs, spacing, ideal, kernel
+
+
+def pattern(
+    g: TwoSlitGeometry,
+    smear_sigma: float,
+    grid: int = DEFAULT_GRID,
+    span: float | None = None,
+) -> IntensityProfile:
+    """Ideal fringes 1 + cos(2*pi*x/D) convolved with a Gaussian screen-position smear."""
+    xs, spacing, ideal, kernel = _profile_inputs(g, smear_sigma, grid, span)
+    intensities = ideal if kernel is None else _smeared(ideal, kernel, 0, grid)
+    return IntensityProfile(xs, intensities, spacing)
+
+
+def _smeared(ideal: np.ndarray, kernel: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Smeared intensities at samples ``lo .. hi - 1``, clamped at 0.
+
+    Each is one dot product of the kernel with the ideal samples from its own
+    index on, so a window has the same bits as the whole grid.
+    """
+    return np.maximum(np.convolve(ideal[lo : hi + kernel.size - 1], kernel, mode="valid"), 0.0)
+
+
+def _extremum_windows(xs: np.ndarray, spacing: float, kernel: np.ndarray) -> list[tuple[int, int]]:
+    """Output index ranges ``[lo, hi)``, in order, that hold every candidate interior extremum.
+
+    ``smeared_visibility``'s docstring derives them.
+    """
+    u, taps, x0, dx = 2.0**-53, kernel.size, float(xs[0]), float(xs[1] - xs[0])
+    halfwidth = taps // 2
+    reach = abs(x0) + (xs.size + halfwidth) * dx  # bounds |offset| and |m*dx|
+    error = 2.0 * (2.0 * taps * u + u * (14.0 * math.pi * reach / spacing + 10.0))
+    phases = np.arange(-halfwidth, halfwidth + 1, dtype=np.float64)
+    phases *= 2.0 * math.pi * dx / spacing
+    gain = float(np.dot(kernel, np.cos(phases, out=phases))) - error
+    floor = math.cos(math.pi * dx / spacing) - 2.0 * error / gain if gain > 0.0 else -1.0
+    radius = math.acos(max(floor, -1.0)) * spacing / (2.0 * math.pi * dx)  # in samples
+    windows: list[tuple[int, int]] = []
+    for half in range(math.floor(2.0 * x0 / spacing) - 1, math.ceil(2.0 * xs[-1] / spacing) + 2):
+        centre = (half * (spacing / 2.0) - x0) / dx
+        lo = max(math.floor(centre - radius) - 2, 0)
+        hi = min(math.ceil(centre + radius) + 3, xs.size)
+        if windows and lo <= windows[-1][1]:
+            windows[-1] = (windows[-1][0], hi)  # lo and hi never decrease
+        elif lo < hi:
+            windows.append((lo, hi))
+    return windows
+
+
+def smeared_visibility(
+    g: TwoSlitGeometry,
+    smear_sigma: float,
+    grid: int = DEFAULT_GRID,
+    span: float | None = None,
+) -> float:
+    """``visibility(pattern(g, smear_sigma, grid, span))`` bit for bit, convolving
+    only the samples that can hold its interior extrema.
+
+    Output ``i`` of ``pattern``'s convolution is one dot product of the K
+    kernel weights ``w`` with ideal samples ``i .. i + K - 1``, so computing
+    outputs ``lo .. hi - 1`` alone makes the same dot products and gives the
+    same bits.  Which outputs are needed follows from a bound.  The kernel is
+    symmetric bit for bit, so in exact arithmetic output ``i`` is
+    ``S + G*cos(2*pi*t_i/D)``, with ``t_i = x_0 + i*dx``, ``S = sum(w)`` and
+    ``G = sum_m w_m*cos(2*pi*m*dx/D)``.  With ``u = 2**-53`` and ``R`` bounding
+    every offset of the extended grid, rounding moves an output by at most
+    ``E = S*(2*K*u + u*(14*pi*R/D + 10))``: the dot product's ``gamma_K`` bound
+    over terms that sum to at most ``2*S``, plus the error of one ideal sample
+    (the offset's two roundings, the argument's two, ``2*math.pi``'s own error,
+    ``cos`` within 4 ulp, and the final add).  The clamp at 0 keeps order, so
+    an interior index ``i`` can be the first argmax only if
+    ``G*(c_max - c_i) <= 2*E``, and the first argmin only if
+    ``G*(c_i - c_min) <= 2*E``, where ``c_i = cos(2*pi*t_i/D)``.  The interior
+    spans at least three fringes, so it holds a sample within ``dx/2`` of a
+    peak and of a trough: ``c_max >= cos(pi*dx/D) >= -c_min``.  Every candidate
+    therefore lies within ``D*acos(cos(pi*dx/D) - 2*E/G)/(2*pi)`` of a multiple
+    of ``D/2``.  The windows convolved hold those positions, with two samples to
+    spare on each side: one for the parabolic refinement's neighbour, one for
+    the rounding of the window ends.  The code doubles ``E`` (which also covers
+    ``S <= 1 + K*u``) and lowers the computed ``G`` by it, more than ``G``'s own
+    rounding.  When ``G`` is not positive, or no position is excluded, the
+    windows merge into the whole grid, which is ``pattern``'s computation.
+    """
+    xs, spacing, ideal, kernel = _profile_inputs(g, smear_sigma, grid, span)
+    if kernel is None:
+        return _visibility(xs, spacing, [(0, ideal)])
+    windows = [
+        (lo, _smeared(ideal, kernel, lo, hi)) for lo, hi in _extremum_windows(xs, spacing, kernel)
+    ]
+    return _visibility(xs, spacing, windows)
 
 
 def _refine_extremum(values: np.ndarray, index: int) -> float:
@@ -161,6 +258,37 @@ def _refine_extremum(values: np.ndarray, index: int) -> float:
     return float(y1 - (y0 - y2) ** 2 / (8.0 * curvature))
 
 
+def _visibility(xs: np.ndarray, spacing: float, windows: list) -> float:
+    """``visibility`` from ``(first index, values)`` windows of the profile, in order.
+
+    The windows must hold every interior sample that can be the first maximum
+    or minimum, with both its neighbours.
+    """
+    span = xs[-1] - xs[0]
+    if span < 2.0 * spacing:
+        raise ResolutionError(f"span {span} covers fewer than 2 fringes")
+    margin = spacing / 2.0
+    interior = np.nonzero((xs >= xs[0] + margin) & (xs <= xs[-1] - margin))[0]
+    if interior.size == 0:
+        raise ResolutionError(f"no sample lies half a fringe of {spacing} inside both ends")
+    start, stop = int(interior[0]), int(interior[-1]) + 1  # xs increase
+    high = low = None
+    for first, values in windows:
+        a, b = max(start - first, 0), min(stop - first, values.size)
+        if a >= b:
+            continue
+        i, j = a + int(np.argmax(values[a:b])), a + int(np.argmin(values[a:b]))
+        if high is None or values[i] > high[0][high[1]]:
+            high = values, i
+        if low is None or values[j] < low[0][low[1]]:
+            low = values, j
+    high, low = _refine_extremum(*high), _refine_extremum(*low)
+    total = high + low
+    if total <= 0.0:
+        return 0.0
+    return max((high - low) / total, 0.0)
+
+
 def visibility(p: IntensityProfile) -> float:
     """(I_max - I_min)/(I_max + I_min) over the interior fringes.
 
@@ -168,19 +296,4 @@ def visibility(p: IntensityProfile) -> float:
     are refined with a local parabola, so the estimate converges fast in
     the grid resolution.
     """
-    span = p.xs[-1] - p.xs[0]
-    if span < 2.0 * p.fringe_spacing:
-        raise ResolutionError(f"span {span} covers fewer than 2 fringes")
-    margin = p.fringe_spacing / 2.0
-    interior = np.nonzero(
-        (p.xs >= p.xs[0] + margin) & (p.xs <= p.xs[-1] - margin)
-    )[0]
-    values = p.intensities
-    i_max = interior[np.argmax(values[interior])]
-    i_min = interior[np.argmin(values[interior])]
-    high = _refine_extremum(values, int(i_max))
-    low = _refine_extremum(values, int(i_min))
-    total = high + low
-    if total <= 0.0:
-        return 0.0
-    return max((high - low) / total, 0.0)
+    return _visibility(p.xs, p.fringe_spacing, [(0, p.intensities)])

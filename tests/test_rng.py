@@ -97,6 +97,20 @@ def test_uniform_block_returns_a_new_array_each_call():
         assert not np.array_equal(first, second)
 
 
+def test_long_rows_in_any_order_match_substreams():
+    # the long-row path keeps one native Philox per master stream and advances
+    # it from wherever the last call left it, so a block that starts before the
+    # last one wraps the 256-bit counter; a partial last counter step, the
+    # largest trial and a grid-row call in between must not disturb it
+    master = SeededStream(2**64 - 1)
+    draws = CUTOFF + 3
+    for first, n in [(40, 3), (12, 2), (12, 1), (MAX_TRIAL, 1), (0, 2), (5, 0), (1, 4)]:
+        master.uniform_block(2, 5, first=first // 2)
+        block = master.uniform_block(n, draws, first=first)
+        for i in range(n):
+            np.testing.assert_array_equal(block[i], master.substream(first + i).uniforms(draws))
+
+
 def test_uniform_block_partition_invariant():
     master = SeededStream(77)
     whole = master.uniform_block(40, 3)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paradoxlab import twoslit
 from paradoxlab.errors import DomainError, GeometryError, ResolutionError
@@ -199,3 +201,84 @@ class TestVisibility:
         profile = twoslit.IntensityProfile(xs, np.ones_like(xs), 50.0)
         with pytest.raises(ResolutionError):
             twoslit.visibility(profile)
+
+    def test_no_sample_in_the_interior(self):
+        # two fringes and more, but no sample half a fringe inside both ends
+        xs = np.array([-60.0, 60.0])
+        profile = twoslit.IntensityProfile(xs, np.ones_like(xs), 50.0)
+        with pytest.raises(ResolutionError, match="no sample lies half a fringe"):
+            twoslit.visibility(profile)
+
+
+def convolved_outputs(monkeypatch):
+    """Spy on ``np.convolve``: the list it returns collects each call's output count."""
+    counts, convolve = [], np.convolve
+
+    def spy(a, v, mode="full"):
+        out = convolve(a, v, mode)
+        counts.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "convolve", spy)
+    return counts
+
+
+@st.composite
+def smeared_cases(draw):
+    geometry = twoslit.TwoSlitGeometry(
+        *(draw(st.floats(low, high)) for low, high in [(0.2, 5.0), (0.2, 5.0), (10.0, 500.0)])
+    )
+    fringes = draw(st.floats(4.0, 16.0))
+    # a sample step below D/8, with a sample to spare against rounding
+    grid = draw(st.integers(max(twoslit.MIN_GRID, math.floor(8.0 * fringes) + 3), 4096))
+    # near 1.2 fringes the rounding noise moves the extrema off the peaks
+    ratio = draw(st.floats(0.0, 4.0) | st.floats(1.0, 1.5) | st.sampled_from([0.0, 1.0, 4.0]))
+    return geometry, ratio, grid, fringes
+
+
+class TestSmearedVisibility:
+    # sigma runs from 0 up to the CLI's smear cap of 4 fringes
+    @settings(max_examples=60, deadline=None)
+    @given(smeared_cases())
+    @example((GEOMETRY, 1.0, 2048, 8.0))
+    @example((GEOMETRY, 4.0, 256, 4.0))
+    @example((twoslit.TwoSlitGeometry(0.3, 4.1, 37.0), 0.01, 4096, 16.0))
+    @example((GEOMETRY, 1.3, 2048, 16.0))  # both fail if the error bound is dropped
+    @example((GEOMETRY, 1.4, 4096, 4.0))
+    def test_same_bits_as_the_whole_pattern(self, case):
+        geometry, ratio, grid, fringes = case
+        spacing = twoslit.fringe_spacing(geometry)
+        args = (geometry, ratio * spacing, grid, fringes * spacing)
+        whole = twoslit.visibility(twoslit.pattern(*args))
+        windowed = twoslit.smeared_visibility(*args)
+        assert np.float64(windowed).tobytes() == np.float64(whole).tobytes()
+
+    def test_flat_fringes_convolve_the_whole_grid(self, monkeypatch):
+        # at the 4-fringe cap G is about exp(-32 pi^2): the bound excludes nothing
+        counts = convolved_outputs(monkeypatch)
+        spacing = twoslit.fringe_spacing(GEOMETRY)
+        args = (GEOMETRY, 4.0 * spacing, 512, 4.0 * spacing)
+        windowed = twoslit.smeared_visibility(*args)
+        assert counts == [512]
+        assert windowed == twoslit.visibility(twoslit.pattern(*args))
+
+    def test_sweep_convolves_a_quarter_of_the_grid_at_most(self, monkeypatch):
+        # the benchmark's grid, with the CLI's default geometry and sweep
+        counts = convolved_outputs(monkeypatch)
+        spacing = twoslit.fringe_spacing(GEOMETRY)
+        for ratio in [i / 10.0 for i in range(1, 11)]:
+            counts.clear()
+            twoslit.smeared_visibility(GEOMETRY, ratio * spacing, 16384)
+            assert 0 < sum(counts) <= 16384 // 4, ratio
+
+    def test_no_smear_convolves_nothing(self, monkeypatch):
+        counts = convolved_outputs(monkeypatch)
+        profile = twoslit.pattern(GEOMETRY, 0.0)
+        assert twoslit.smeared_visibility(GEOMETRY, 0.0) == twoslit.visibility(profile)
+        assert counts == []
+
+    def test_rejects_what_pattern_rejects(self):
+        with pytest.raises(DomainError):
+            twoslit.smeared_visibility(GEOMETRY, -0.1)
+        with pytest.raises(ResolutionError):
+            twoslit.smeared_visibility(GEOMETRY, 1.0, grid=32)
