@@ -13,8 +13,9 @@ another trial's block, or onto the master stream, and are rejected.
 
 ``SeededStream.uniform_block`` evaluates many substreams at once.  Short rows
 go through a numpy Philox evaluated for the whole (trial, step) counter grid,
-a tile of rows at a time, in place on scratch that the master stream keeps, so
-its extra memory stays bounded and is allocated once per stream.  Long rows
+a tile of rows at a time, in place on eight word arrays that the master stream
+keeps (1 MiB, allocated once per stream); each output word is converted in
+place and written straight into its columns of the block.  Long rows
 go through one native Philox that the master stream also keeps: one
 ``advance`` per trial and ``Generator.random`` into the row, a fixed few
 microseconds per trial, but several times faster per draw than the numpy
@@ -132,12 +133,12 @@ def _philox(seed: int, c0: np.ndarray, c3: np.ndarray, scratch: list) -> tuple[n
 def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None = None) -> None:
     """Fill row ``i`` of ``out`` with trial ``first + i``'s draws, tile by tile.
 
-    ``tile`` is the kernel's scratch, a ``(12, _TILE_BLOCKS)`` uint64 array (a
-    new one if omitted): four rows for the raw tile's four words per counter
-    block, then one row for each of ``_philox``'s eight word arrays.
+    ``tile`` is the kernel's scratch, an ``(8, _TILE_BLOCKS)`` uint64 array (a
+    new one if omitted) holding ``_philox``'s eight word arrays.  Each block's
+    word ``j`` is converted in place and written straight into columns ``j::4``.
     """
     if tile is None:
-        tile = np.empty((12, _TILE_BLOCKS), dtype=np.uint64)
+        tile = np.empty((8, _TILE_BLOCKS), dtype=np.uint64)
     n_streams, draws = out.shape
     steps = -(-draws // 4)
     c0 = np.arange(1, steps + 1, dtype=np.uint64)[None, :]
@@ -146,12 +147,11 @@ def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None =
         hi = min(lo + rows, n_streams)
         size = (hi - lo) * steps
         c3 = np.arange(hi - lo, dtype=np.uint64)[:, None] + np.uint64(first + lo + 1)
-        words = [word[:size].reshape(hi - lo, steps) for word in tile[4:]]
-        raw = tile[:4].reshape(-1)[: 4 * size].reshape(hi - lo, steps, 4)
-        for j, word in enumerate(_philox(seed, c0, c3, words)):
-            raw[:, :, j] = word
-        raw >>= np.uint64(11)
-        np.multiply(raw.reshape(hi - lo, 4 * steps)[:, :draws], _INV_2_53, out=out[lo:hi])
+        words = [word[:size].reshape(hi - lo, steps) for word in tile]
+        for j, word in enumerate(_philox(seed, c0, c3, words)[:draws]):
+            word = word[:, : -(-(draws - j) // 4)]
+            word >>= np.uint64(11)
+            np.multiply(word, _INV_2_53, out=out[lo:hi, j::4])
 
 
 def _fill_rows(seed: int, first: int, out: np.ndarray, native=None) -> int:
@@ -188,9 +188,9 @@ class SeededStream:
 
     @cached_property
     def _tile(self) -> np.ndarray:
-        # the grid kernel's scratch, kept across uniform_block calls so that each
-        # chunk reuses it; uniform_block is therefore not safe across threads
-        return np.empty((12, _TILE_BLOCKS), dtype=np.uint64)
+        # _fill_grid's eight word arrays, kept across uniform_block calls so that
+        # each chunk reuses them; uniform_block is therefore not safe across threads
+        return np.empty((8, _TILE_BLOCKS), dtype=np.uint64)
 
     @cached_property
     def _rows(self) -> np.random.Generator:

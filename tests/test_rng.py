@@ -189,7 +189,7 @@ def test_both_paths_match_native_philox(seed, draws, n_streams, where):
         np.testing.assert_array_equal(master.substream(first + i).uniforms(draws), expected[i])
 
 
-@pytest.mark.parametrize("draws", [1, 7, CUTOFF - 1, CUTOFF])
+@pytest.mark.parametrize("draws", [1, 2, 3, 5, 7, CUTOFF - 1, CUTOFF])
 def test_grid_matches_rows_across_tiles(draws):
     n = tile_rows(draws) + 5  # not a multiple of the tile's row count
     grid, rows = np.empty((n, draws)), np.empty((n, draws))
@@ -221,7 +221,7 @@ def test_trial_index_checked_before_allocation():
         SeededStream(3).uniform_block(2**63, 2**20, first=2**63)
 
 
-@pytest.mark.parametrize("n_streams, draws", [(16384, 50), (65536, 10)])
+@pytest.mark.parametrize("n_streams, draws", [(16384, 1), (8192, 2), (16384, 50), (65536, 10)])
 def test_uniform_block_scratch_memory_bounded(n_streams, draws):
     tracemalloc.start()
     try:
@@ -229,4 +229,4 @@ def test_uniform_block_scratch_memory_bounded(n_streams, draws):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 4 * 2**20
+    assert peak - out.nbytes <= 1.5 * 2**20

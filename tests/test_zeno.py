@@ -145,7 +145,7 @@ class TestChunking:
         ids=["grid-rows", "native-rows"],
     )
     def test_peak_memory_of_a_run(self, p_minus, steps, trials, limit):
-        # a one-tile chunk plus the stream's kept kernel scratch (1.5 MiB) on
+        # a one-tile chunk plus the stream's kept kernel scratch (1 MiB) on
         # the grid path; 6.05 and 5.35 MiB with chunks of 2**19 draws
         tracemalloc.start()
         try:
