@@ -15,11 +15,11 @@ another trial's block, or onto the master stream, and are rejected.
 go through a numpy Philox evaluated for the whole (trial, step) counter grid,
 a tile of rows at a time, in place on eight word arrays that the master stream
 keeps (1 MiB, allocated once per stream); each output word is converted in
-place and written straight into its columns of the block.  Long rows
-go through one native Philox that the master stream also keeps: one
-``advance`` per trial and ``Generator.random`` into the row, a fixed few
-microseconds per trial, but several times faster per draw than the numpy
-rounds once a row is long.  Both paths produce the same bits.
+place and written straight into its columns of the block.  Long rows go
+through one native Philox that the master stream also keeps: its counter set
+to each trial's block and ``Generator.random`` into the row, a fixed few
+microseconds per trial, but faster per draw than the numpy rounds once a row
+is long.  Both paths produce the same bits.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers, the first Philox key
 _MAX_TRIAL = 2**64 - 2  # substream i uses counter word i + 1 < 2**64
 _INV_2_53 = 2.0**-53
 # Rows of at most this many draws use the counter-grid kernel; longer rows use
-# the native per-row loop.  Measured crossover, ns per draw (2-vCPU Xeon, numpy
-# 2.4, best of 7 over 2**19 draws): both cost 28-38 at 256 draws per row; loop
-# and grid take 19-33 and 35-38 at 320, 10 and 28 at 1024, 115 and 42 at 64.
+# the native per-row loop.  Measured ns per draw (2-vCPU Xeon, numpy 2.4, best
+# of 7 over 2**19 draws), grid and loop: 27 and 47 at 64 draws per row, 25 and
+# 18 at 256, 26 and 15 at 320, 23 and 10 at 1024.  The loop is faster from
+# about 128-192 draws, but a lower cutoff would make runs with rows of 129-256
+# draws import numpy.random, which costs 17 ms and about 6 MB.
 _GRID_MAX_DRAWS = 256
 _TILE_BLOCKS = 16384  # counter blocks per grid tile: bounds the kernel's scratch
 
@@ -89,45 +91,33 @@ def _mulhilo(m, x: np.ndarray, hi=None, lo=None, tmp=(None,) * 3) -> tuple[np.nd
 def _philox(seed: int, c0: np.ndarray, c3: np.ndarray, scratch: list) -> tuple[np.ndarray, ...]:
     """Philox4x64-10 of the counter words ``(c0, 0, 0, c3)`` under key ``(seed, 0)``.
 
-    ``c0`` and ``c3`` are uint64 arrays that broadcast against each other; the
-    four output words have the broadcast shape.  Words that are constant along
-    an axis stay unexpanded until a round mixes them, which skips about a fifth
-    of the grid-wide multiplies.  Every grid-wide word and temporary lives in
-    ``scratch``, eight uint64 arrays of the broadcast shape, and the rounds work
-    on them in place; the four output words are four of them.
+    ``c0`` is a ``(1, steps)`` row and ``c3`` a ``(rows, 1)`` column of uint64.  The
+    rounds run in place on ``scratch``, eight uint64 arrays of shape ``(rows, steps)``,
+    and the four output words are four of them.  Round 1 multiplies only the row, round
+    2 one grid-wide word (its other product is of the constant ``seed``), rounds 3-10 two each.
     """
-    shape = np.broadcast_shapes(c0.shape, c3.shape)
-    free = list(scratch)
-    ours = {id(a) for a in scratch}
-
-    def mul(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the low words overwrite a grid-wide x, which no later step reads
-        return _mulhilo(m, x, free.pop(), x, free[-3:]) if id(x) in ours else _mulhilo(m, x)
-
-    def xor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-        # a ^ b ^ k, into a grid-wide operand, else a free array if it spans the grid
-        if id(b) in ours:
-            a, b = b, a
-        if id(a) in ours:
-            out = a
-        else:
-            out = free.pop() if np.broadcast_shapes(a.shape, b.shape) == shape else None
-        out = np.bitwise_xor(a, b, out=out)
-        out ^= np.uint64(k)
-        if id(b) in ours:
-            free.append(b)
-        return out
-
-    c1 = c2 = np.zeros((1, 1), dtype=np.uint64)
-    k0, k1 = seed, 0
-    for _ in range(_PHILOX_ROUNDS):
-        hi0, c0 = mul(_PHILOX_M[0], c0)
-        hi0 = xor(hi0, c3, k1)  # before the second product, so eight arrays suffice
-        hi1, c3 = mul(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = xor(hi1, c1, k0), c3, hi0, c0
-        k0 = (k0 + _PHILOX_W[0]) % 2**64
-        k1 = (k1 + _PHILOX_W[1]) % 2**64
-    return c0, c1, c2, c3
+    w0, w1, w2, w3, hi, *tmp = scratch
+    m0, m1 = _PHILOX_M
+    k0 = [(seed + r * _PHILOX_W[0]) % 2**64 for r in range(_PHILOX_ROUNDS)]  # round r's key
+    k1 = [r * _PHILOX_W[1] % 2**64 for r in range(_PHILOX_ROUNDS)]
+    # round 1: (c0, 0, 0, c3) -> (seed, 0, r2 ^ c3, r3), where (r2, r3) are the words of m0 c0
+    r2, r3 = _mulhilo(m0, c0)
+    np.bitwise_xor(r2, c3, out=w2)
+    # round 2: -> (hi(m1 w2) ^ k0[1], lo(m1 w2), hi(m0 seed) ^ r3 ^ k1[1], lo(m0 seed))
+    seed_hi, seed_lo = divmod(m0 * seed, 2**64)
+    _mulhilo(m1, w2, w0, w1, tmp)
+    w0 ^= np.uint64(k0[1])
+    np.bitwise_xor(r3, np.uint64(seed_hi ^ k1[1]), out=w2)
+    w3.fill(seed_lo)
+    for r in range(2, _PHILOX_ROUNDS):
+        _mulhilo(m0, w0, hi, w0, tmp)
+        hi ^= w3  # before the second product, which overwrites w3, so eight arrays suffice
+        hi ^= np.uint64(k1[r])
+        _mulhilo(m1, w2, w3, w2, tmp)
+        w3 ^= w1
+        w3 ^= np.uint64(k0[r])
+        w0, w1, w2, w3, hi = w3, w2, hi, w0, w1
+    return w0, w1, w2, w3
 
 
 def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None = None) -> None:
@@ -145,30 +135,25 @@ def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None =
     rows = max(1, _TILE_BLOCKS // steps)
     for lo in range(0, n_streams, rows):
         hi = min(lo + rows, n_streams)
-        size = (hi - lo) * steps
         c3 = np.arange(hi - lo, dtype=np.uint64)[:, None] + np.uint64(first + lo + 1)
-        words = [word[:size].reshape(hi - lo, steps) for word in tile]
+        words = [word[: (hi - lo) * steps].reshape(hi - lo, steps) for word in tile]
         for j, word in enumerate(_philox(seed, c0, c3, words)[:draws]):
             word = word[:, : -(-(draws - j) // 4)]
             word >>= np.uint64(11)
             np.multiply(word, _INV_2_53, out=out[lo:hi, j::4])
 
 
-def _fill_rows(seed: int, first: int, out: np.ndarray, native=None) -> int:
-    """Same as ``_fill_grid``: advance one native Philox per row, ``Generator.random`` into it.
-
-    ``native`` is a ``(generator, position)`` pair whose Philox is keyed by
-    ``seed`` and has its counter at ``position`` (a new one at 0 if omitted).
-    Returns the counter position after the last row.
+def _fill_rows(seed: int, first: int, out: np.ndarray, gen=None) -> None:
+    """Same as ``_fill_grid``: set the counter of ``gen``'s Philox, keyed by ``seed`` (a new
+    one if omitted), to each trial's block in turn and ``Generator.random`` into its row.
     """
-    gen, position = native or (np.random.Generator(np.random.Philox(key=seed)), 0)
-    steps = -(-out.shape[1] // 4)  # Philox emits 4 uint64 per counter step
+    gen = gen or np.random.Generator(np.random.Philox(key=seed))
+    state = gen.bit_generator.state
+    state["buffer_pos"] = 4  # an empty buffer: a row's first draw steps its counter word 0 to 1
     for i in range(out.shape[0]):
-        target = (first + i + 1) << _BLOCK_SHIFT
-        gen.bit_generator.advance((target - position) % 2**256)  # the counter wraps
+        state["state"]["counter"][:] = (0, 0, 0, first + i + 1)
+        gen.bit_generator.state = state
         gen.random(out=out[i])
-        position = target + steps
-    return position
 
 
 class SeededStream:
@@ -177,7 +162,6 @@ class SeededStream:
     def __init__(self, seed: int, _block: int = 0):
         self.seed = check_seed(int(seed))
         self._block = int(_block)
-        self._rows_at = 0  # the counter position of _rows' Philox
 
     @cached_property
     def _gen(self) -> np.random.Generator:
@@ -195,7 +179,7 @@ class SeededStream:
     @cached_property
     def _rows(self) -> np.random.Generator:
         # the long-row path's native Philox, kept across uniform_block calls like
-        # _tile; each call advances it from where the last one left it
+        # _tile; each row sets its counter, so no call depends on the last one
         return np.random.Generator(np.random.Philox(key=self.seed))
 
     def substream(self, index: int) -> "SeededStream":
@@ -233,5 +217,5 @@ class SeededStream:
         if draws <= _GRID_MAX_DRAWS:
             _fill_grid(self.seed, first, out, self._tile)
         else:
-            self._rows_at = _fill_rows(self.seed, first, out, (self._rows, self._rows_at))
+            _fill_rows(self.seed, first, out, self._rows)
         return out

@@ -98,10 +98,10 @@ def test_uniform_block_returns_a_new_array_each_call():
 
 
 def test_long_rows_in_any_order_match_substreams():
-    # the long-row path keeps one native Philox per master stream and advances
-    # it from wherever the last call left it, so a block that starts before the
-    # last one wraps the 256-bit counter; a partial last counter step, the
-    # largest trial and a grid-row call in between must not disturb it
+    # the long-row path keeps one native Philox per master stream and sets its
+    # counter for each row, so a block that starts before the last one, a
+    # partial last counter step, the largest trial and a grid-row call in
+    # between must not disturb it
     master = SeededStream(2**64 - 1)
     draws = CUTOFF + 3
     for first, n in [(40, 3), (12, 2), (12, 1), (MAX_TRIAL, 1), (0, 2), (5, 0), (1, 4)]:
@@ -198,6 +198,21 @@ def test_grid_matches_rows_across_tiles(draws):
     np.testing.assert_array_equal(grid, rows)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("first", [0, 2**40, MAX_TRIAL - 2])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_philox_words_match_native_raw_output(seed, first, steps):
+    # the doubles keep only a word's top 53 bits, so check all 64 of every word
+    rows = 3
+    c0 = np.arange(1, steps + 1, dtype=np.uint64)[None, :]
+    c3 = np.arange(first + 1, first + rows + 1, dtype=np.uint64)[:, None]
+    scratch = list(np.empty((8, rows, steps), dtype=np.uint64))
+    words = np.stack(rng._philox(seed, c0, c3, scratch), axis=-1)
+    for i in range(rows):
+        bitgen = np.random.Philox(key=seed, counter=(first + i + 1) << 192)
+        np.testing.assert_array_equal(words[i].ravel(), bitgen.random_raw(4 * steps))
+
+
 def test_largest_trial_index_allowed():
     master = SeededStream(3)
     expected = native_rows(3, 1, 5, MAX_TRIAL)
@@ -221,12 +236,19 @@ def test_trial_index_checked_before_allocation():
         SeededStream(3).uniform_block(2**63, 2**20, first=2**63)
 
 
-@pytest.mark.parametrize("n_streams, draws", [(16384, 1), (8192, 2), (16384, 50), (65536, 10)])
+@pytest.mark.parametrize(
+    "n_streams, draws",
+    [(16384, 1), (8192, 2), (16384, 50), (65536, 10), (4, 20000), (2000, 5000)],
+)
 def test_uniform_block_scratch_memory_bounded(n_streams, draws):
+    # the grid's kept scratch is 1 MiB; long rows are written by the native
+    # generator straight into the block, with no temporary
+    bound = 1.5 * 2**20 if draws <= CUTOFF else 64 * 2**10
+    np.random.Philox  # import numpy.random before tracing, so its modules are not counted
     tracemalloc.start()
     try:
         out = SeededStream(5).uniform_block(n_streams, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 1.5 * 2**20
+    assert peak - out.nbytes <= bound
