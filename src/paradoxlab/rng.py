@@ -157,7 +157,12 @@ def _fill_rows(seed: int, first: int, out: np.ndarray, gen=None) -> None:
 
 
 class SeededStream:
-    """Seeded Philox stream; ``substream(i)`` is a pure function of (seed, i)."""
+    """Seeded Philox stream; ``substream(i)`` is a pure function of (seed, i).
+
+    It keeps kernel scratch and generator state across ``uniform_block`` calls,
+    so each thread needs its own stream; streams of the same seed give the
+    same bytes.
+    """
 
     def __init__(self, seed: int, _block: int = 0):
         self.seed = check_seed(int(seed))

@@ -237,14 +237,15 @@ def smeared_visibility(
     ``S <= 1 + K*u``) and lowers the computed ``G`` by it, more than ``G``'s own
     rounding.  When ``G`` is not positive, or no position is excluded, the
     windows merge into the whole grid, which is ``pattern``'s computation.
+    Every sample outside the windows is NaN, which ``visibility`` reads as no
+    sample; the spare samples keep each refined extremum's neighbours finite.
     """
-    xs, spacing, ideal, kernel = _profile_inputs(g, smear_sigma, grid, span)
-    if kernel is None:
-        return _visibility(xs, spacing, [(0, ideal)])
-    windows = [
-        (lo, _smeared(ideal, kernel, lo, hi)) for lo, hi in _extremum_windows(xs, spacing, kernel)
-    ]
-    return _visibility(xs, spacing, windows)
+    xs, spacing, values, kernel = _profile_inputs(g, smear_sigma, grid, span)
+    if kernel is not None:
+        ideal, values = values, np.full(grid, np.nan)
+        for lo, hi in _extremum_windows(xs, spacing, kernel):
+            values[lo:hi] = _smeared(ideal, kernel, lo, hi)
+    return visibility(IntensityProfile(xs, values, spacing))
 
 
 def _refine_extremum(values: np.ndarray, index: int) -> float:
@@ -258,42 +259,24 @@ def _refine_extremum(values: np.ndarray, index: int) -> float:
     return float(y1 - (y0 - y2) ** 2 / (8.0 * curvature))
 
 
-def _visibility(xs: np.ndarray, spacing: float, windows: list) -> float:
-    """``visibility`` from ``(first index, values)`` windows of the profile, in order.
+def visibility(p: IntensityProfile) -> float:
+    """(I_max - I_min)/(I_max + I_min) over the interior fringes.
 
-    The windows must hold every interior sample that can be the first maximum
-    or minimum, with both its neighbours.
+    Half a fringe is excluded at each boundary, a NaN intensity counts as no
+    sample, and the surviving extrema are refined with a local parabola, so
+    the estimate converges fast in the grid resolution.
     """
+    xs, values, spacing = p.xs, p.intensities, p.fringe_spacing
     span = xs[-1] - xs[0]
     if span < 2.0 * spacing:
         raise ResolutionError(f"span {span} covers fewer than 2 fringes")
     margin = spacing / 2.0
-    interior = np.nonzero((xs >= xs[0] + margin) & (xs <= xs[-1] - margin))[0]
-    if interior.size == 0:
+    interior = np.where((xs >= xs[0] + margin) & (xs <= xs[-1] - margin), values, np.nan)
+    if np.isnan(interior).all():
         raise ResolutionError(f"no sample lies half a fringe of {spacing} inside both ends")
-    start, stop = int(interior[0]), int(interior[-1]) + 1  # xs increase
-    high = low = None
-    for first, values in windows:
-        a, b = max(start - first, 0), min(stop - first, values.size)
-        if a >= b:
-            continue
-        i, j = a + int(np.argmax(values[a:b])), a + int(np.argmin(values[a:b]))
-        if high is None or values[i] > high[0][high[1]]:
-            high = values, i
-        if low is None or values[j] < low[0][low[1]]:
-            low = values, j
-    high, low = _refine_extremum(*high), _refine_extremum(*low)
+    high = _refine_extremum(values, int(np.nanargmax(interior)))
+    low = _refine_extremum(values, int(np.nanargmin(interior)))
     total = high + low
     if total <= 0.0:
         return 0.0
     return max((high - low) / total, 0.0)
-
-
-def visibility(p: IntensityProfile) -> float:
-    """(I_max - I_min)/(I_max + I_min) over the interior fringes.
-
-    Half a fringe is excluded at each boundary and the surviving extrema
-    are refined with a local parabola, so the estimate converges fast in
-    the grid resolution.
-    """
-    return _visibility(p.xs, p.fringe_spacing, [(0, p.intensities)])

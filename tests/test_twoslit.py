@@ -209,6 +209,27 @@ class TestVisibility:
         with pytest.raises(ResolutionError, match="no sample lies half a fringe"):
             twoslit.visibility(profile)
 
+    def test_nan_samples_away_from_the_extrema_change_no_bit(self):
+        # NaN is no sample: holes near half height, away from every peak and
+        # trough and their neighbours, leave the extrema and their refinement
+        spacing = twoslit.fringe_spacing(GEOMETRY)
+        profile = twoslit.pattern(GEOMETRY, 0.3 * spacing)
+        holes = np.abs(np.cos(2.0 * math.pi * profile.xs / spacing)) < 0.9
+        assert 2 * holes.sum() > holes.size
+        holed = twoslit.IntensityProfile(
+            profile.xs, np.where(holes, np.nan, profile.intensities), spacing
+        )
+        whole = twoslit.visibility(profile)
+        assert np.float64(twoslit.visibility(holed)).tobytes() == np.float64(whole).tobytes()
+
+    def test_interior_of_nan_only(self):
+        # samples only within half a fringe of an end, the rest NaN
+        xs = np.linspace(-100.0, 100.0, 512)
+        intensities = np.where(np.abs(xs) <= 75.0, np.nan, 1.0)
+        profile = twoslit.IntensityProfile(xs, intensities, 50.0)
+        with pytest.raises(ResolutionError, match="no sample lies half a fringe"):
+            twoslit.visibility(profile)
+
 
 def convolved_outputs(monkeypatch):
     """Spy on ``np.convolve``: the list it returns collects each call's output count."""
