@@ -120,15 +120,13 @@ def _philox(seed: int, c0: np.ndarray, c3: np.ndarray, scratch: list) -> tuple[n
     return w0, w1, w2, w3
 
 
-def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None = None) -> None:
+def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray) -> None:
     """Fill row ``i`` of ``out`` with trial ``first + i``'s draws, tile by tile.
 
-    ``tile`` is the kernel's scratch, an ``(8, _TILE_BLOCKS)`` uint64 array (a
-    new one if omitted) holding ``_philox``'s eight word arrays.  Each block's
-    word ``j`` is converted in place and written straight into columns ``j::4``.
+    ``tile`` is the kernel's scratch, an ``(8, _TILE_BLOCKS)`` uint64 array
+    holding ``_philox``'s eight word arrays.  Each block's word ``j`` is
+    converted in place and written straight into columns ``j::4``.
     """
-    if tile is None:
-        tile = np.empty((8, _TILE_BLOCKS), dtype=np.uint64)
     n_streams, draws = out.shape
     steps = -(-draws // 4)
     c0 = np.arange(1, steps + 1, dtype=np.uint64)[None, :]
@@ -143,11 +141,10 @@ def _fill_grid(seed: int, first: int, out: np.ndarray, tile: np.ndarray | None =
             np.multiply(word, _INV_2_53, out=out[lo:hi, j::4])
 
 
-def _fill_rows(seed: int, first: int, out: np.ndarray, gen=None) -> None:
-    """Same as ``_fill_grid``: set the counter of ``gen``'s Philox, keyed by ``seed`` (a new
-    one if omitted), to each trial's block in turn and ``Generator.random`` into its row.
+def _fill_rows(first: int, out: np.ndarray, gen: np.random.Generator) -> None:
+    """Same as ``_fill_grid`` for the seed that keys ``gen``'s Philox: set its counter
+    to each trial's block in turn and ``Generator.random`` into the trial's row.
     """
-    gen = gen or np.random.Generator(np.random.Philox(key=seed))
     state = gen.bit_generator.state
     state["buffer_pos"] = 4  # an empty buffer: a row's first draw steps its counter word 0 to 1
     for i in range(out.shape[0]):
@@ -222,5 +219,5 @@ class SeededStream:
         if draws <= _GRID_MAX_DRAWS:
             _fill_grid(self.seed, first, out, self._tile)
         else:
-            _fill_rows(self.seed, first, out, self._rows)
+            _fill_rows(first, out, self._rows)
         return out

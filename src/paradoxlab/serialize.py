@@ -4,13 +4,13 @@ Floats are rendered as decimals with up to 17 significant digits, which
 round-trips every finite double exactly; keys are sorted; CSV uses LF line
 endings.  Identical records therefore serialize to identical bytes.
 
-CSV tables are passed as columns and written in blocks of rows.  Each block
-of a float64 or integer array column is formatted once per distinct value,
-joined and written on its own, so the text held at any time is one block of
-cells, whatever the size of the table.
+CSV tables are passed as columns and written in blocks of ``_BLOCK_ROWS``
+rows.  Each block of a float64 or integer array column is formatted once per
+distinct value, joined and written on its own, so the text held at any time,
+and the float kernel's scratch, are one block's, whatever the size of the table.
 
 A block's distinct doubles get the text of ``format(v, ".17g")`` from exact
-integer arithmetic in numpy (``_decimal``), 2048 at a time; the few values
+integer arithmetic in numpy (``_decimal``), in one call; the few values
 that arithmetic cannot settle, and blocks of fewer than ``_EXACT_MIN``
 distinct doubles, take one ``%`` call over a ``"%.17g\n"`` template, which
 is Python's correctly rounded conversion.
@@ -91,15 +91,21 @@ def write_json(path: Path, record: dict):
     path.write_text(dumps(record), encoding="utf-8")
 
 
-# Rows joined per write: about 0.6 MB of text for the lightcone region's columns.
-_BLOCK_ROWS = 16384
+# Rows per block, which bound a write's cell texts and joined text, the JSON
+# int-list joins and the kernel's scratch (about 90 bytes per value).  The
+# peak follows the cell texts: two columns of 100,000 distinct doubles trace
+# 0.91, 1.36, 1.81 and 3.6 MiB at 4096, 6144, 8192 and 16384 rows.  The cost
+# is a kernel call per block where every block has _EXACT_MIN distinct
+# doubles: lightcone grid_step=0.0042 (2858 x values per block) takes
+# 1.35-1.50 s against 1.02-1.21 s at 16384 rows (2-vCPU Xeon, numpy 2.4).
+_BLOCK_ROWS = 6144
 # Calls with fewer distinct doubles than this use one `%` call: the kernel
 # costs about 0.24 ms per call plus 0.32 us per value, `%` 0.78 us per value.
 # Measured on geomspace(0.1, 100, n), ms per call (2-vCPU Xeon, numpy 2.4,
 # median of 21): kernel and `%` take 0.46 and 0.40 at 512, 0.52 and 0.60 at
-# 768, 0.89 and 1.59 at 2048.
+# 768, 0.89 and 1.59 at 2048.  Its traffic is lightcone's axis columns (11 t,
+# 601 x values per block at grid_step=0.02); the kernel there adds 3-16 ms.
 _EXACT_MIN = 640
-_EXACT_PASS = 2048  # values per kernel pass: its scratch peaks near 90 bytes per value
 _U = np.uint64
 
 
@@ -159,14 +165,12 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # numpy shifts by 64 or more give 0, and such values are replaced anyway
     fallback = ~normal | (shift - _U(123) > 4)
     up, down = _U(128) - shift, shift - _U(64)
-    del f, carry, shift  # these words set the pass's scratch: each goes once used
     d, frac = top, mid  # D and the fraction's top 64 bits, shifted in place
     d <<= up
     d |= mid >> down
     frac <<= up
     low >>= down
     frac |= low
-    del up, down, low
     fallback |= (frac - _U(2**63 - 2) < 4) | (d < 10**16)
     d += frac > _U(2**63)
     fallback |= d >= 10**17
@@ -229,12 +233,7 @@ def _exact_format(values: np.ndarray) -> list[str]:
 
 def _format_doubles(values: np.ndarray) -> list[str]:
     """``format_float`` over finite float64 values, integral ones with ".0"."""
-    if len(values) < _EXACT_MIN:
-        texts = _percent_format(values)
-    else:
-        texts = [""] * len(values)
-        for lo in range(0, len(values), _EXACT_PASS):
-            texts[lo : lo + _EXACT_PASS] = _exact_format(values[lo : lo + _EXACT_PASS])
+    texts = (_percent_format if len(values) < _EXACT_MIN else _exact_format)(values)
     integral = (values == np.floor(values)) & (np.abs(values) < 1e17)
     for i in np.flatnonzero(integral).tolist():
         texts[i] += ".0"

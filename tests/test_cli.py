@@ -120,7 +120,7 @@ class TestParseConfig:
             parse_config(["experiment=lightcone", *side, "grid_x_max=2500"])
 
     @pytest.mark.parametrize("experiment", ["zeno", "dual-zeno"])
-    def test_zeno_row_length_capped_at_the_draw_budget(self, experiment):
+    def test_zeno_row_length_capped_at_the_row_cap(self, experiment):
         cap = cli.ZENO_MAX_ROW
         assert cap == 2**19
         parse_config([f"experiment={experiment}", f"N={cap}", "trials=1", f"sweep={cap}"])

@@ -179,10 +179,11 @@ N_STREAMS = st.sampled_from([0, 1, 3])
 def test_both_paths_match_native_philox(seed, draws, n_streams, where):
     first = {"zero": 0, "mid": 2**40, "top": MAX_TRIAL - max(n_streams, 1) + 1}[where]
     expected = native_rows(seed, n_streams, draws, first)
-    for fill in (rng._fill_grid, rng._fill_rows):
-        out = np.empty((n_streams, draws))
-        fill(seed, first, out)
-        np.testing.assert_array_equal(out, expected)
+    grid, rows = np.empty((n_streams, draws)), np.empty((n_streams, draws))
+    rng._fill_grid(seed, first, grid, np.empty((8, rng._TILE_BLOCKS), np.uint64))
+    rng._fill_rows(first, rows, np.random.Generator(np.random.Philox(key=seed)))
+    np.testing.assert_array_equal(grid, expected)
+    np.testing.assert_array_equal(rows, expected)
     master = SeededStream(seed)
     np.testing.assert_array_equal(master.uniform_block(n_streams, draws, first), expected)
     for i in range(n_streams):  # each substream builds its own generator on first use
@@ -193,8 +194,8 @@ def test_both_paths_match_native_philox(seed, draws, n_streams, where):
 def test_grid_matches_rows_across_tiles(draws):
     n = tile_rows(draws) + 5  # not a multiple of the tile's row count
     grid, rows = np.empty((n, draws)), np.empty((n, draws))
-    rng._fill_grid(2**64 - 1, 2**40, grid)
-    rng._fill_rows(2**64 - 1, 2**40, rows)
+    rng._fill_grid(2**64 - 1, 2**40, grid, np.empty((8, rng._TILE_BLOCKS), np.uint64))
+    rng._fill_rows(2**40, rows, np.random.Generator(np.random.Philox(key=2**64 - 1)))
     np.testing.assert_array_equal(grid, rows)
 
 

@@ -285,8 +285,11 @@ class TestBlocks:
                 tracemalloc.stop()
 
         small, large = peak(100_000), peak(1_000_000)
-        # both sizes hold one block: under 4 MB of cell texts and joined text;
-        # a cost per cell would add tens of MB at the larger size
+        # both sizes hold one block of cell texts, joined text and kernel scratch:
+        # 1.36 MiB traced at either size with 6144-row blocks, 3.6 MiB with
+        # 16384-row blocks formatted 2048 values per kernel pass; a cost per
+        # cell would add tens of MB at the larger size
+        assert small <= 2 * 2**20, small
         assert large <= small + 256 * 1024, (small, large)
 
 
