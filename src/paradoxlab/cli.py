@@ -511,12 +511,13 @@ def _run_lightcone(cfg: RunConfig):
     }
 
     # row-major over (t, x); lo + i*step is the same IEEE arithmetic as a scalar loop.
-    # The region broadcasts the axes, so only the CSV columns repeat them per cell.
+    # The region broadcasts the axes, and the CSV columns index them per cell.
     step = cfg.params["grid_step"]
     t_axis = cfg.params["grid_t_min"] + np.arange(n_t) * step
     x_axis = cfg.params["grid_x_min"] + np.arange(n_x) * step
     allowed = lightcone.collapse_region(t_axis[:, None], x_axis[None, :], a, b)
-    columns = (np.repeat(t_axis, n_x), np.tile(x_axis, n_t), allowed.ravel().astype(np.int8))
+    t_index, x_index = np.indices((n_t, n_x), np.int32).reshape(2, -1)
+    columns = ((t_axis, t_index), (x_axis, x_index), (np.arange(2), allowed.ravel().view(np.int8)))
     return {"result": summary}, [("lightcone_region.csv", ("t", "x", "allowed"), columns)]
 
 

@@ -5,23 +5,23 @@ round-trips every finite double exactly; keys are sorted; CSV uses LF line
 endings.  Identical records therefore serialize to identical bytes.
 
 CSV tables are passed as columns and written in blocks of ``_BLOCK_ROWS``
-rows.  Each block of a float64 or integer array column is formatted once per
-distinct value, joined and written on its own, so the text held at any time,
-and the float kernel's scratch, are one block's, whatever the size of the table.
-
-A block's distinct doubles get the text of ``format(v, ".17g")`` from exact
-integer arithmetic in numpy (``_decimal``), in one call; the few values
-that arithmetic cannot settle, and blocks of fewer than ``_EXACT_MIN``
-distinct doubles, take one ``%`` call over a ``"%.17g\n"`` template, which
-is Python's correctly rounded conversion.
+rows.  A block is one uint8 matrix: each column's cells as rows of bytes
+padded with 0xFF, with a "," column between columns and a "\n" column last,
+written by one ``translate`` that drops the padding.  Doubles get the text of
+``format_float`` laid out straight into their matrix from exact integer
+arithmetic in numpy (``_decimal``); the few values it cannot settle take one
+``%`` call, Python's correctly rounded conversion, and calls of fewer than
+``_EXACT_MIN`` values take ``format_float`` itself.  A pair ``(values, index)``
+has its values formatted once per table and gathered by index in each block.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,29 +91,25 @@ def write_json(path: Path, record: dict):
     path.write_text(dumps(record), encoding="utf-8")
 
 
-# Rows per block, which bound a write's cell texts and joined text, the JSON
-# int-list joins and the kernel's scratch (about 90 bytes per value).  The
-# peak follows the cell texts: two columns of 100,000 distinct doubles trace
-# 0.91, 1.36, 1.81 and 3.6 MiB at 4096, 6144, 8192 and 16384 rows.  The cost
-# is a kernel call per block where every block has _EXACT_MIN distinct
-# doubles: lightcone grid_step=0.0042 (2858 x values per block) takes
-# 1.35-1.50 s against 1.02-1.21 s at 16384 rows (2-vCPU Xeon, numpy 2.4).
+# Rows per block, which bound a write's cell matrices and text, the JSON
+# int-list joins and the kernel's scratch (about 140 bytes per value): two
+# columns of 100,000 distinct doubles trace 0.82, 1.21 and 1.61 MiB at 4096,
+# 6144 and 8192 rows.  No block formats an indexed axis again, so the size
+# barely moves the cap: lightcone grid_step=0.0042 takes 0.41-0.56 s (2-vCPU
+# Xeon, numpy 2.4), against 1.51-1.63 s when every block re-formatted x.
 _BLOCK_ROWS = 6144
-# Calls with fewer distinct doubles than this use one `%` call: the kernel
-# costs about 0.24 ms per call plus 0.32 us per value, `%` 0.78 us per value.
-# Measured on geomspace(0.1, 100, n), ms per call (2-vCPU Xeon, numpy 2.4,
-# median of 21): kernel and `%` take 0.46 and 0.40 at 512, 0.52 and 0.60 at
-# 768, 0.89 and 1.59 at 2048.  Its traffic is lightcone's axis columns (11 t,
-# 601 x values per block at grid_step=0.02); the kernel there adds 3-16 ms.
-_EXACT_MIN = 640
+# Calls with fewer doubles than this take format_float per value: the kernel
+# costs about 0.18 ms per call plus 0.14 us per value, format_float 1.1 us
+# per value (geomspace(0.1, 100, n), median of 21: 0.19 against 0.22 ms at
+# 192, 0.48 against 2.6 ms at 2048).  Its traffic is a table's last block and
+# small axes; lightcone's (351 t, 601 x values at grid_step=0.02) are above it.
+_EXACT_MIN = 192
 _U = np.uint64
 
 
 def _percent_format(values: np.ndarray) -> list[str]:
     """``format(v, ".17g")`` of each value, from one ``%`` call."""
-    texts = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")
-    texts.pop()
-    return texts
+    return ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
 @functools.cache
@@ -130,6 +126,8 @@ def _pow10(k: int) -> tuple[int, int, int]:
 _SLOT = np.arange(17, dtype=np.uint8)[:, None]
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
 _EXP = np.array([[100], [10], [1]], dtype=np.int16)
+_POINT_ZERO = np.frombuffer(b".0", np.uint8)[:, None]
+_SEPARATORS = np.frombuffer(b",\n", np.uint8)
 
 
 def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,22 +188,32 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits.reshape(18, n)[1:], x, fallback
 
 
-def _exact_text(values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The ``%.17g`` lines of the values, from ``_decimal``'s digits, and the
-    mask of values whose line is a placeholder for ``_percent_format``'s.
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """Each text's UTF-8 bytes as a row of a uint8 matrix, padded with 0xFF,
+    which UTF-8 never contains (a text may hold NUL)."""
+    encoded = [text.encode() for text in texts]
+    width = max(map(len, encoded), default=0)
+    padded = b"".join(cell.ljust(width, b"\xff") for cell in encoded)
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
-    The text is laid out as a (slot, value) byte matrix: each slot is kept by
-    comparing its index with per-value counts, and the others hold 0xFF,
-    which UTF-8 text never contains and ``translate`` deletes.
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``format_float`` of each finite float64 value as a row of bytes padded with 0xFF.
+
+    The text is a (slot, value) matrix of ``_decimal``'s digits, each slot kept
+    by comparing its index with per-value counts.  Values left to ``%`` get its
+    text in their first slots, and integral values ".0" in the last two.
     """
+    if len(values) < _EXACT_MIN:
+        return _text_cells([format_float(value) for value in values.tolist()])
     digits, x, fallback = _decimal(values)
     n_sig = ((digits > ord("0")) * (_SLOT + 1)).max(axis=0)  # up to the last nonzero digit
     fixed = (x >= -4) & (x <= 16)
     n_int = np.where(fixed, np.maximum(x + 1, 0), 1)  # digits before the point
     lead = np.where(fixed & (x < 0), 1 - x, 0)  # bytes of "0.000" before the digits
     keep = np.maximum(n_sig, n_int)
-    # slots: sign, "0.000", 17 x (digit, point), "e", exponent sign, 3 digits, newline
-    rows = np.full((46, len(values)), 0xFF, np.uint8)
+    # slots: sign, "0.000", 17 x (digit, point), "e", exponent sign, 3 digits, ".0"
+    rows = np.full((47, len(values)), 0xFF, np.uint8)
     rows[0, values < 0] = ord("-")
     rows[1:6] = np.where(_SLOT[:5] < lead, _LEAD, 0xFF)
     rows[6:40:2] = np.where(_SLOT < keep, digits, 0xFF)
@@ -216,85 +224,74 @@ def _exact_text(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     rows[41, sci] = np.where(x[sci] < 0, ord("-"), ord("+"))
     e = np.abs(x[sci])
     rows[42:45, sci] = np.where((_EXP < 100) | (e >= 100), e // _EXP % 10 + ord("0"), 0xFF)
-    rows[45] = ord("\n")
-    rows = rows[(rows != 0xFF).any(axis=1)]  # slots that some value uses
-    return rows.T.tobytes().translate(None, b"\xff"), fallback
-
-
-def _exact_format(values: np.ndarray) -> list[str]:
-    """``_percent_format(values)``, from ``_exact_text`` and ``%`` for the rest."""
-    text, fallback = _exact_text(values)
-    texts = text.decode("ascii").split("\n")
-    texts.pop()
-    for i, line in zip(np.flatnonzero(fallback).tolist(), _percent_format(values[fallback])):
-        texts[i] = line
-    return texts
-
-
-def _format_doubles(values: np.ndarray) -> list[str]:
-    """``format_float`` over finite float64 values, integral ones with ".0"."""
-    texts = (_percent_format if len(values) < _EXACT_MIN else _exact_format)(values)
+    where = np.flatnonzero(fallback)
+    patch = _text_cells(_percent_format(values[where]))
+    rows[:, where] = 0xFF
+    rows[: patch.shape[1], where] = patch.T
     integral = (values == np.floor(values)) & (np.abs(values) < 1e17)
-    for i in np.flatnonzero(integral).tolist():
-        texts[i] += ".0"
-    return texts
+    rows[45:, integral] = _POINT_ZERO
+    return rows[(rows != 0xFF).any(axis=1)].T  # slots that some value uses
 
 
-def _checked(column: Sequence) -> Sequence:
-    """A float64 or integer array as it is, any other column as its cell texts.
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, checked finite by two reductions (a NaN makes ``min`` NaN);
+    the first bad value raises as in ``format_float``."""
+    if len(values) and not -math.inf < values.min() <= values.max() < math.inf:
+        format_float(float(values[~np.isfinite(values)][0]))  # raises DomainError
+    return values
 
-    A float64 column is checked finite block by block before the file is
-    opened, so a bad value anywhere raises with nothing written.
+
+def _table(values: np.ndarray) -> np.ndarray:
+    """The cells of an array's values, one row each."""
+    if values.dtype == np.float64:
+        return _float_cells(_finite(values))
+    return _text_cells([format_value(value) for value in values.tolist()])
+
+
+def _column(column) -> tuple[int, Callable[[slice], np.ndarray]]:
+    """A column's row count and the function from a slice of its rows to their cells.
+
+    Everything is checked here, before the file is opened; a pair's values
+    and a list's cells are also formatted here, once per table.
     """
+    if isinstance(column, tuple) and list(map(type, column)) == [np.ndarray, np.ndarray]:
+        values, index = column
+        table = _table(values)
+        return len(index), lambda rows: table.take(index[rows], axis=0)
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        for lo in range(0, len(column), _BLOCK_ROWS):
-            block = column[lo : lo + _BLOCK_ROWS]
-            finite = np.isfinite(block)
-            if not finite.all():
-                format_float(float(block[~finite][0]))  # raises DomainError
-        return column
+        _finite(column)
+        return len(column), lambda rows: _float_cells(column[rows])
     if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
-        return column
-    return [format_value(cell) for cell in column]
 
+        def cells(rows: slice) -> np.ndarray:  # each distinct value of the block once
+            distinct, inverse = np.unique(column[rows], return_inverse=True)
+            return _table(distinct).take(inverse, axis=0)
 
-def _block_cells(column: Sequence, rows: slice) -> list[str]:
-    """One block of a checked column's cell texts, each distinct value formatted once."""
-    part = column[rows]
-    if not isinstance(part, np.ndarray):
-        return part
-    if part.dtype == np.float64:
-        # the bit pattern keeps -0.0 apart from 0.0
-        bits, inverse = np.unique(part.view(np.uint64), return_inverse=True)
-        texts = _format_doubles(bits.view(np.float64))
-    else:
-        distinct, inverse = np.unique(part, return_inverse=True)
-        texts = [format_value(v) for v in distinct.tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-def _joined(block: list[list[str]]) -> str:
-    """CSV text of a block given as columns of cell texts, one line per row."""
-    width, n = 2 * len(block), len(block[0])
-    # cell, ",", cell, ",", ..., cell, "\n" for each row, with no per-row strings
-    flat = [","] * (width * n)
-    for j, cells in enumerate(block):
-        flat[2 * j :: width] = cells
-    flat[width - 1 :: width] = ["\n"] * n
-    return "".join(flat)
+        return len(column), cells
+    table = _text_cells([format_value(cell) for cell in column])
+    return len(table), table.__getitem__
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]):
-    """Write one 1-D sequence per header name as CSV rows, in blocks of rows."""
+    """Write one 1-D sequence per header name as CSV rows, in blocks of rows.
+
+    A column may also be a pair ``(values, index)`` of numpy arrays, which
+    stands for ``values[index]``: each of its values is formatted once per
+    table, and each block gathers its rows' cells by index.
+    """
     if len(columns) != len(header):
         raise DomainError(f"CSV has {len(header)} header names but {len(columns)} columns")
-    lengths = {len(column) for column in columns}
+    columns = [_column(column) for column in columns]
+    lengths = {n for n, _ in columns}
     if len(lengths) > 1:
         raise DomainError(f"CSV columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    columns = [_checked(column) for column in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(header) + "\n")
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            out.write(_joined([_block_cells(column, rows) for column in columns]))
+            cells = [block(slice(lo, lo + _BLOCK_ROWS)) for _, block in columns]
+            # the block's byte matrix: each row's cells, "," between them, "\n" last
+            separators = np.broadcast_to(_SEPARATORS, (len(cells[0]), 2))
+            parts = [part for cell in cells for part in (cell, separators[:, :1])]
+            parts[-1] = separators[:, 1:]
+            out.write(np.hstack(parts).tobytes().translate(None, b"\xff"))

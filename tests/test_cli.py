@@ -300,7 +300,9 @@ class TestCsvContract:
     )
     def test_lightcone_grid_is_the_scalar_loop(self, tokens):
         cfg = parse_config(["experiment=lightcone", *tokens])
-        _, [(name, header, (t, x, allowed))] = cli._run_lightcone(cfg)
+        _, [(name, header, columns)] = cli._run_lightcone(cfg)
+        # each column is an (axis, index) pair that write_csv expands
+        t, x, allowed = (axis[index] for axis, index in columns)
         p = cfg.params
         step = p["grid_step"]
         n_t = int(math.floor((p["grid_t_max"] - p["grid_t_min"]) / step + 1e-9)) + 1
@@ -329,10 +331,11 @@ class TestCsvContract:
         assert all(n * -(-draws // 4) <= rng._TILE_BLOCKS for n, draws in shapes)
 
     def test_lightcone_region_memory_bounded_by_its_columns(self):
-        # 787 x 1,349 = 1,061,663 cells.  The CSV columns take 17 bytes a cell
-        # (t and x as float64, allowed as int8); the region may add up to four
-        # bool grids.  Measured: 18.0 bytes a cell; evaluating the region on
-        # the repeated float64 columns instead peaked at 35.0.
+        # 787 x 1,349 = 1,061,663 cells.  The CSV columns take 9 bytes a cell
+        # (int32 indexes into the t and x axes, and the region's bool grid
+        # viewed as int8); the region may add up to four bool grids.
+        # Measured: 9.0 bytes a cell; repeating t and x as float64 columns
+        # peaked at 18.0, and evaluating the region on them at 35.0.
         cfg = parse_config(["experiment=lightcone", "grid_step=0.0089"])
         n_t, n_x = cli._lightcone_grid(cfg.params)
         tracemalloc.start()
@@ -341,7 +344,7 @@ class TestCsvContract:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (17 + 4) * n_t * n_x
+        assert peak <= (9 + 4) * n_t * n_x
 
     def test_formats_filter(self, tmp_path):
         cfg = parse_config(

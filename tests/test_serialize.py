@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paradoxlab import serialize
+from paradoxlab import cli, serialize
+from paradoxlab.cli import parse_config
 from paradoxlab.errors import DomainError
 from paradoxlab.serialize import dumps, format_float, format_value, write_csv
 
@@ -134,15 +135,21 @@ def to_percent(monkeypatch):
     return seen
 
 
+def float_cells(values: np.ndarray) -> list[str]:
+    """The text of each row of ``_float_cells``, its 0xFF padding dropped."""
+    rows = serialize._float_cells(values)
+    return [row.tobytes().translate(None, b"\xff").decode("ascii") for row in rows]
+
+
 class TestExactKernel:
-    """``_format_doubles`` above the crossover builds the digits itself."""
+    """``_float_cells`` above the crossover builds the digits itself."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(finite_doubles, min_size=1, max_size=60))
     def test_both_sides_of_the_crossover_match_format_float(self, values):
         for n in (len(values), serialize._EXACT_MIN):
             column = np.resize(np.array(values, dtype=np.float64), n)
-            assert serialize._format_doubles(column) == [format_float(v) for v in column.tolist()]
+            assert float_cells(column) == [format_float(v) for v in column.tolist()]
 
     def test_fixed_cases(self, to_percent):
         powers = [10.0**k for k in range(-300, 301)]
@@ -152,7 +159,7 @@ class TestExactKernel:
             cases += _around(edge) + _around(-edge)
         cases += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.0, -0.0] + TIES
         assert len(cases) >= serialize._EXACT_MIN and all(map(_tie, TIES))
-        assert serialize._format_doubles(np.array(cases)) == [format_float(v) for v in cases]
+        assert float_cells(np.array(cases)) == [format_float(v) for v in cases]
         assert set(TIES) <= set(to_percent)  # a true tie is left to the correctly rounded %
 
     @pytest.mark.parametrize("square", [False, True], ids=["T", "1/T**2"])
@@ -160,7 +167,7 @@ class TestExactKernel:
         column = np.geomspace(0.1, 100.0, 16384)
         if square:
             column = 1.0 / column**2
-        assert serialize._format_doubles(column) == [format_float(v) for v in column.tolist()]
+        assert float_cells(column) == [format_float(v) for v in column.tolist()]
         assert len(to_percent) <= 4, to_percent
 
 
@@ -210,6 +217,22 @@ class TestTables:
             header, [floats, ints, strs]
         )
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[TMP_PATH])
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(),
+                st.text(st.sampled_from("\x00\u00e9\u4e2d\U0001f600,\n\r\"a")),
+            ),
+            max_size=30,
+        )
+    )
+    def test_str_cells_of_any_text(self, tmp_path, rows):
+        # NUL and non-ASCII cells keep their UTF-8 bytes; 0xFF, the padding,
+        # is no byte of UTF-8
+        columns = [[row[0] for row in rows], [row[1] for row in rows]]
+        assert written(tmp_path, ["a", "b"], columns) == expected_csv(["a", "b"], columns)
+
     def test_table_spanning_several_blocks(self, tmp_path):
         n = 2 * serialize._BLOCK_ROWS + 5
         rng = np.random.default_rng(11)
@@ -235,7 +258,7 @@ class TestTables:
 
 
 class TestBlocks:
-    """Each block of rows is formatted, de-duplicated and written on its own."""
+    """Each block of rows is formatted and written on its own."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[TMP_PATH])
     @given(
@@ -274,7 +297,7 @@ class TestBlocks:
 
     def test_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
         def peak(n_rows: int) -> int:
-            # distinct doubles, so no column shrinks by de-duplication
+            # distinct doubles, as in the bounds table
             t = np.geomspace(0.1, 100.0, n_rows)
             y = 1.0 / t**2
             tracemalloc.start()
@@ -285,12 +308,67 @@ class TestBlocks:
                 tracemalloc.stop()
 
         small, large = peak(100_000), peak(1_000_000)
-        # both sizes hold one block of cell texts, joined text and kernel scratch:
-        # 1.36 MiB traced at either size with 6144-row blocks, 3.6 MiB with
-        # 16384-row blocks formatted 2048 values per kernel pass; a cost per
-        # cell would add tens of MB at the larger size
+        # both sizes hold one block's cell matrices, text and kernel scratch:
+        # 1.22 MiB traced at either size with 6144-row blocks of byte matrices,
+        # 1.36 MiB when the cells were Python strings; a cost per cell would
+        # add tens of MB at the larger size
         assert small <= 2 * 2**20, small
         assert large <= small + 256 * 1024, (small, large)
+
+
+def indexed_axis() -> np.ndarray:
+    """An axis of at least ``_EXACT_MIN`` values, so the kernel formats it: signed
+    zeros side by side, integral values, true ties, subnormals and edges."""
+    values = [0.0, -0.0, -0.0, 0.0, 3.0, -2.0**53, 1e16, 99999999999999984.0, 1e17]
+    values += TIES + EDGES + [5e-324 * k for k in (1, 2, 3, 1000)]
+    n = serialize._EXACT_MIN
+    fill = np.random.default_rng(5).standard_normal(n) * np.geomspace(1e-8, 1e8, n)
+    return np.concatenate([values, fill])
+
+
+class TestIndexedColumns:
+    """A pair ``(values, index)`` writes the bytes of the column ``values[index]``."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, 255, 4096, serialize._BLOCK_ROWS])
+    def test_same_bytes_as_the_expanded_column(self, tmp_path, block_rows):
+        axis = indexed_axis()
+        assert len(axis) >= serialize._EXACT_MIN
+        rng = np.random.default_rng(9)
+        index = np.concatenate([np.arange(len(axis)), rng.integers(0, len(axis), 3000)])
+        index = index.astype(np.int32)
+        flags = rng.integers(0, 2, len(index)).astype(np.int8)
+        other = rng.standard_normal(len(index))
+        header = ["v", "w", "flag"]
+        expanded = [axis[index], other, np.arange(2)[flags]]
+        with mock.patch.object(serialize, "_BLOCK_ROWS", block_rows):
+            text = written(tmp_path, header, [(axis, index), other, (np.arange(2), flags)])
+        assert text == expected_csv(header, expanded)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[TMP_PATH])
+    @given(
+        st.integers(1, 7),
+        st.lists(finite_doubles, min_size=1, max_size=12),
+        st.lists(st.integers(0, 2**31 - 1), max_size=40),
+    )
+    def test_any_axis_and_block_size(self, tmp_path, block_rows, axis, picks):
+        axis = np.array(axis, dtype=np.float64)
+        index = np.array(picks, dtype=np.int32) % len(axis)
+        with mock.patch.object(serialize, "_BLOCK_ROWS", block_rows):
+            text = written(tmp_path, ["v", "i"], [(axis, index), index])
+        assert text == expected_csv(["v", "i"], [axis[index], index])
+
+    def test_each_axis_value_is_formatted_once_per_table(self, tmp_path, monkeypatch):
+        # the lightcone table repeats its whole x axis in every block, so
+        # formatting per block would make 775 kernel calls per table at the
+        # grid cap
+        cfg = parse_config(["experiment=lightcone", "grid_step=0.02"])
+        _, [(name, header, columns)] = cli._run_lightcone(cfg)
+        (t_axis, t_index), (x_axis, _), _ = columns
+        assert len(t_index) > 20 * serialize._BLOCK_ROWS
+        seen, cells = [], serialize._float_cells
+        monkeypatch.setattr(serialize, "_float_cells", lambda v: seen.append(list(v)) or cells(v))
+        write_csv(tmp_path / name, header, columns)
+        assert seen == [list(t_axis), list(x_axis)]
 
 
 def recursive_dumps(record) -> str:
