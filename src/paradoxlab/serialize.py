@@ -9,10 +9,11 @@ rows.  A block is one uint8 matrix: each column's cells as rows of bytes
 padded with 0xFF, with a "," column between columns and a "\n" column last,
 written by one ``translate`` that drops the padding.  Doubles get the text of
 ``format_float`` laid out straight into their matrix from exact integer
-arithmetic in numpy (``_decimal``); the few values it cannot settle take one
-``%`` call, Python's correctly rounded conversion, and calls of fewer than
-``_EXACT_MIN`` values take ``format_float`` itself.  A pair ``(values, index)``
-has its values formatted once per table and gathered by index in each block.
+arithmetic in numpy (``_decimal``), whatever the number of values; the few
+values it cannot settle take one ``%`` call, Python's correctly rounded
+conversion.  Other arrays take ``format_value`` per value, a block at a time.
+A pair ``(values, index)`` has its values formatted once per table and
+gathered by index in each block.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def format_float(value: float) -> str:
     if value != value or value in (float("inf"), float("-inf")):
         raise DomainError(f"cannot serialize non-finite value {value}")
     text = format(value, ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 
@@ -98,12 +99,6 @@ def write_json(path: Path, record: dict):
 # barely moves the cap: lightcone grid_step=0.0042 takes 0.41-0.56 s (2-vCPU
 # Xeon, numpy 2.4), against 1.51-1.63 s when every block re-formatted x.
 _BLOCK_ROWS = 6144
-# Calls with fewer doubles than this take format_float per value: the kernel
-# costs about 0.18 ms per call plus 0.14 us per value, format_float 1.1 us
-# per value (geomspace(0.1, 100, n), median of 21: 0.19 against 0.22 ms at
-# 192, 0.48 against 2.6 ms at 2048).  Its traffic is a table's last block and
-# small axes; lightcone's (351 t, 601 x values at grid_step=0.02) are above it.
-_EXACT_MIN = 192
 _U = np.uint64
 
 
@@ -202,10 +197,12 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
     The text is a (slot, value) matrix of ``_decimal``'s digits, each slot kept
     by comparing its index with per-value counts.  Values left to ``%`` get its
-    text in their first slots, and integral values ".0" in the last two.
+    text in their first slots, and integral values ".0" in the last two.  Calls
+    of every size take this path; an empty one returns an empty matrix, since
+    ``_decimal`` needs a value.
     """
-    if len(values) < _EXACT_MIN:
-        return _text_cells([format_float(value) for value in values.tolist()])
+    if not len(values):
+        return np.empty((0, 0), np.uint8)
     digits, x, fallback = _decimal(values)
     n_sig = ((digits > ord("0")) * (_SLOT + 1)).max(axis=0)  # up to the last nonzero digit
     fixed = (x >= -4) & (x <= 16)
@@ -234,9 +231,10 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
-    """``values``, checked finite by two reductions (a NaN makes ``min`` NaN);
-    the first bad value raises as in ``format_float``."""
-    if len(values) and not -math.inf < values.min() <= values.max() < math.inf:
+    """``values``, checked finite by two reductions (a NaN makes ``min`` NaN) if
+    they are floats; the first bad value raises as in ``format_float``."""
+    floats = values.dtype.kind == "f"
+    if floats and len(values) and not -math.inf < values.min() <= values.max() < math.inf:
         format_float(float(values[~np.isfinite(values)][0]))  # raises DomainError
     return values
 
@@ -244,30 +242,23 @@ def _finite(values: np.ndarray) -> np.ndarray:
 def _table(values: np.ndarray) -> np.ndarray:
     """The cells of an array's values, one row each."""
     if values.dtype == np.float64:
-        return _float_cells(_finite(values))
+        return _float_cells(values)
     return _text_cells([format_value(value) for value in values.tolist()])
 
 
 def _column(column) -> tuple[int, Callable[[slice], np.ndarray]]:
     """A column's row count and the function from a slice of its rows to their cells.
 
-    Everything is checked here, before the file is opened; a pair's values
+    Floats are checked finite here, before the file is opened; a pair's values
     and a list's cells are also formatted here, once per table.
     """
     if isinstance(column, tuple) and list(map(type, column)) == [np.ndarray, np.ndarray]:
         values, index = column
-        table = _table(values)
+        table = _table(_finite(values))
         return len(index), lambda rows: table.take(index[rows], axis=0)
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+    if isinstance(column, np.ndarray):
         _finite(column)
-        return len(column), lambda rows: _float_cells(column[rows])
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
-
-        def cells(rows: slice) -> np.ndarray:  # each distinct value of the block once
-            distinct, inverse = np.unique(column[rows], return_inverse=True)
-            return _table(distinct).take(inverse, axis=0)
-
-        return len(column), cells
+        return len(column), lambda rows: _table(column[rows])
     table = _text_cells([format_value(cell) for cell in column])
     return len(table), table.__getitem__
 

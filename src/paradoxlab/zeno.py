@@ -54,7 +54,7 @@ class ZenoResult:
     empirical_survival: float
     stderr: float
     per_step_probability: float
-    jump_times: tuple[int, ...] | None = None
+    jump_times: tuple[int, ...]
 
 
 def period(cfg: ZenoConfig) -> float:

@@ -85,6 +85,8 @@ class TestFloatColumns:
     def test_edge_values(self, tmp_path):
         column = np.array(EDGES * 2, dtype=np.float64)
         assert written(tmp_path, ["v"], [column]) == expected_csv(["v"], [column])
+        for value in EDGES:  # one-value columns
+            assert written(tmp_path, ["v"], [np.array([value])]) == f"v\n{format_float(value)}\n"
 
     def test_signed_zeros_stay_apart(self, tmp_path):
         column = np.array([0.0, -0.0, 0.0, -0.0])
@@ -142,12 +144,12 @@ def float_cells(values: np.ndarray) -> list[str]:
 
 
 class TestExactKernel:
-    """``_float_cells`` above the crossover builds the digits itself."""
+    """``_float_cells`` builds the digits itself, whatever the number of values."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(finite_doubles, min_size=1, max_size=60))
-    def test_both_sides_of_the_crossover_match_format_float(self, values):
-        for n in (len(values), serialize._EXACT_MIN):
+    def test_any_size_matches_format_float(self, values):
+        for n in (len(values), serialize._BLOCK_ROWS):
             column = np.resize(np.array(values, dtype=np.float64), n)
             assert float_cells(column) == [format_float(v) for v in column.tolist()]
 
@@ -158,7 +160,7 @@ class TestExactKernel:
         for edge in (1e-5, 1e-4, 1e16, 1e17):  # the fixed-notation range is -4 <= X <= 16
             cases += _around(edge) + _around(-edge)
         cases += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.0, -0.0] + TIES
-        assert len(cases) >= serialize._EXACT_MIN and all(map(_tie, TIES))
+        assert all(map(_tie, TIES))
         assert float_cells(np.array(cases)) == [format_float(v) for v in cases]
         assert set(TIES) <= set(to_percent)  # a true tie is left to the correctly rounded %
 
@@ -173,7 +175,7 @@ class TestExactKernel:
 
 class TestTables:
     def test_mixed_column_kinds(self, tmp_path):
-        header = ["x", "n", "label", "flag", "count", "on", "y"]
+        header = ["x", "n", "label", "flag", "count", "on", "y", "word"]
         columns = [
             np.array([0.5, -0.0, 1e17]),
             [1, -2, 3],
@@ -182,10 +184,15 @@ class TestTables:
             np.array([7, 7, -1], dtype=np.int8),
             np.array([False, True, True]),
             [0.25, 2.0, -1e-300],
+            np.array(["x", "yz", "x"]),
         ]
         text = written(tmp_path, header, columns)
         assert text == expected_csv(header, columns)
-        assert text.splitlines()[1] == "0.5,1,ab,true,7,false,0.25"
+        assert text.splitlines()[1:] == [
+            "0.5,1,ab,true,7,false,0.25,x",
+            "-0.0,-2,apb,false,7,true,2.0,yz",
+            "1e+17,3,abp,true,-1,true,-1e-300,x",
+        ]
 
     @pytest.mark.parametrize(
         "value, text",
@@ -249,6 +256,8 @@ class TestTables:
         empty = [np.array([]), np.array([]), np.array([], dtype=np.int8)]
         assert written(tmp_path, header, empty) == "t,x,allowed\n"
         assert written(tmp_path, ["a", "b"], [[], []]) == "a,b\n"
+        pair = (np.array([]), np.array([], np.int32))
+        assert written(tmp_path, ["v"], [pair]) == "v\n"
 
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="length"):
@@ -317,11 +326,11 @@ class TestBlocks:
 
 
 def indexed_axis() -> np.ndarray:
-    """An axis of at least ``_EXACT_MIN`` values, so the kernel formats it: signed
-    zeros side by side, integral values, true ties, subnormals and edges."""
+    """An axis for the kernel: signed zeros side by side, integral values, true
+    ties, subnormals and edges, then 192 normal values of every magnitude."""
     values = [0.0, -0.0, -0.0, 0.0, 3.0, -2.0**53, 1e16, 99999999999999984.0, 1e17]
     values += TIES + EDGES + [5e-324 * k for k in (1, 2, 3, 1000)]
-    n = serialize._EXACT_MIN
+    n = 192
     fill = np.random.default_rng(5).standard_normal(n) * np.geomspace(1e-8, 1e8, n)
     return np.concatenate([values, fill])
 
@@ -332,7 +341,6 @@ class TestIndexedColumns:
     @pytest.mark.parametrize("block_rows", [1, 2, 7, 255, 4096, serialize._BLOCK_ROWS])
     def test_same_bytes_as_the_expanded_column(self, tmp_path, block_rows):
         axis = indexed_axis()
-        assert len(axis) >= serialize._EXACT_MIN
         rng = np.random.default_rng(9)
         index = np.concatenate([np.arange(len(axis)), rng.integers(0, len(axis), 3000)])
         index = index.astype(np.int32)
