@@ -93,11 +93,11 @@ def write_json(path: Path, record: dict):
 
 
 # Rows per block, which bound a write's cell matrices and text, the JSON
-# int-list joins and the kernel's scratch (about 140 bytes per value): two
-# columns of 100,000 distinct doubles trace 0.82, 1.21 and 1.61 MiB at 4096,
-# 6144 and 8192 rows.  No block formats an indexed axis again, so the size
-# barely moves the cap: lightcone grid_step=0.0042 takes 0.41-0.56 s (2-vCPU
-# Xeon, numpy 2.4), against 1.51-1.63 s when every block re-formatted x.
+# int-list joins and the kernel's cells and scratch (82 to 87 bytes per
+# value): two columns of 100,000 distinct doubles trace 0.43, 0.63 and 0.83
+# MiB at 4096, 6144 and 8192 rows.  No block formats an indexed axis again, so
+# the size barely moves the cap: lightcone grid_step=0.0042 takes 0.40-0.80 s
+# (2-vCPU Xeon, numpy 2.4), against 1.51-1.63 s when every block re-formatted x.
 _BLOCK_ROWS = 6144
 _U = np.uint64
 
@@ -141,31 +141,43 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits = values.view(np.uint64)
     biased = (bits >> _U(52)).astype(np.int16) & 0x7FF
     normal = biased > 0
-    f = bits & _U(2**52 - 1)
-    f |= _U(2**52)
     x = np.floor(np.log10(np.abs(np.where(normal, values, 1.0)))).astype(np.int16)
     k_lo = 16 - int(x.max())
     hi, lo, q = zip(*map(_pow10, range(k_lo, 17 - int(x.min()))))
     row = 16 - k_lo - x
+    shift = 1075 - biased - np.array(q, np.int16)[row]
+    # D has 54 to 57 bits, so shift is 123..127 unless the estimate is wrong;
+    # other shifts make garbage (numpy shifts by 64 or more give 0), and such
+    # values are replaced anyway
+    fallback = ~normal | (shift < 123) | (shift > 127)
+    up, down = (128 - shift).astype(np.uint8), (shift - 64).astype(np.uint8)
+    del biased, normal, shift
     # value * 10**k = f * (hi * 2**64 + lo) * 2**(biased - 1075 + q)
-    #                = (top * 2**128 + mid * 2**64 + low) * 2**-shift
-    carry, low = _mulhilo(np.array(lo, np.uint64)[row], f)
-    top, mid = _mulhilo(np.array(hi, np.uint64)[row], f)
+    #                = (top * 2**128 + mid * 2**64 + low) * 2**-shift,
+    # each product's low words written over its gathered table words
+    f = bits & _U(2**52 - 1)
+    f |= _U(2**52)
+    tmp = [np.empty(n, np.uint64) for _ in range(3)]
+    low = np.array(lo, np.uint64)[row]
+    carry, low = _mulhilo(f, low, lo=low, tmp=tmp)
+    low >>= down  # all the fraction needs of low: its top 1 to 5 bits
+    tail = low.astype(np.uint8)
+    del low
+    mid = np.array(hi, np.uint64)[row]
+    top, mid = _mulhilo(f, mid, lo=mid, tmp=tmp)
+    del f, tmp, row
     mid += carry
     top += mid < carry
-    shift = (1075 - biased - np.array(q, np.int16)[row]).astype(np.uint64)
-    # D has 54 to 57 bits, so shift is 123..127 unless the estimate is wrong;
-    # numpy shifts by 64 or more give 0, and such values are replaced anyway
-    fallback = ~normal | (shift - _U(123) > 4)
-    up, down = _U(128) - shift, shift - _U(64)
+    del carry
     d, frac = top, mid  # D and the fraction's top 64 bits, shifted in place
     d <<= up
     d |= mid >> down
     frac <<= up
-    low >>= down
-    frac |= low
+    frac |= tail
+    del up, down, tail
     fallback |= (frac - _U(2**63 - 2) < 4) | (d < 10**16)
     d += frac > _U(2**63)
+    del frac, mid
     fallback |= d >= 10**17
     d[fallback] = 10**16  # any 17 digits: these values are replaced
     # D's digits as three groups of six, the first group's leading digit 0
@@ -174,6 +186,7 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d -= groups[0] * _U(10**12)
     groups[1] = d // _U(10**6)
     groups[2] = d - groups[1] * _U(10**6)
+    del d, top
     digits = np.empty((3, 6, n), np.uint8)
     for j in range(5, -1, -1):
         rest = groups // np.uint32(10)
@@ -208,14 +221,17 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     fixed = (x >= -4) & (x <= 16)
     n_int = np.where(fixed, np.maximum(x + 1, 0), 1)  # digits before the point
     lead = np.where(fixed & (x < 0), 1 - x, 0)  # bytes of "0.000" before the digits
-    keep = np.maximum(n_sig, n_int)
+    integral = (values == np.floor(values)) & (np.abs(values) < 1e17)
     # slots: sign, "0.000", 17 x (digit, point), "e", exponent sign, 3 digits, ".0"
     rows = np.full((47, len(values)), 0xFF, np.uint8)
+    rows[6:40:2] = digits
+    del digits
+    np.copyto(rows[6:40:2], 0xFF, where=_SLOT >= np.maximum(n_sig, n_int))
     rows[0, values < 0] = ord("-")
     rows[1:6] = np.where(_SLOT[:5] < lead, _LEAD, 0xFF)
-    rows[6:40:2] = np.where(_SLOT < keep, digits, 0xFF)
     point = np.flatnonzero((n_int > 0) & (n_sig > n_int))
     rows[5 + 2 * n_int[point], point] = ord(".")
+    del point
     sci = np.flatnonzero(~fixed)
     rows[40, sci] = ord("e")
     rows[41, sci] = np.where(x[sci] < 0, ord("-"), ord("+"))
@@ -225,16 +241,19 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     patch = _text_cells(_percent_format(values[where]))
     rows[:, where] = 0xFF
     rows[: patch.shape[1], where] = patch.T
-    integral = (values == np.floor(values)) & (np.abs(values) < 1e17)
     rows[45:, integral] = _POINT_ZERO
-    return rows[(rows != 0xFF).any(axis=1)].T  # slots that some value uses
+    return rows[rows.min(axis=1) < 0xFF].T  # slots that some value uses
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """``values``, checked finite by two reductions (a NaN makes ``min`` NaN) if
-    they are floats; the first bad value raises as in ``format_float``."""
-    floats = values.dtype.kind == "f"
-    if floats and len(values) and not -math.inf < values.min() <= values.max() < math.inf:
+def _checked(name: str, values: np.ndarray) -> np.ndarray:
+    """``values``, checked to be of a dtype the writer formats (bool, integer,
+    float of at most 64 bits, str or object), and finite if floats (two
+    reductions: a NaN makes ``min`` NaN); the first bad value raises as in
+    ``format_float``."""
+    kind = values.dtype.kind
+    if kind not in "biufUO" or kind == "f" and values.dtype.itemsize > 8:
+        raise DomainError(f"cannot write CSV column {name!r} of dtype {values.dtype}")
+    if kind == "f" and len(values) and not -math.inf < values.min() <= values.max() < math.inf:
         format_float(float(values[~np.isfinite(values)][0]))  # raises DomainError
     return values
 
@@ -246,21 +265,31 @@ def _table(values: np.ndarray) -> np.ndarray:
     return _text_cells([format_value(value) for value in values.tolist()])
 
 
-def _column(column) -> tuple[int, Callable[[slice], np.ndarray]]:
+def _column(name: str, column) -> tuple[int, Callable[[slice], np.ndarray]]:
     """A column's row count and the function from a slice of its rows to their cells.
 
-    Floats are checked finite here, before the file is opened; a pair's values
-    and a list's cells are also formatted here, once per table.
+    Arrays are checked here, before the file is opened; a pair's values and
+    the cells of a list or an object array are also formatted here, once per
+    table.
     """
     if isinstance(column, tuple) and list(map(type, column)) == [np.ndarray, np.ndarray]:
         values, index = column
-        table = _table(_finite(values))
+        table = _table(_checked(name, values))
         return len(index), lambda rows: table.take(index[rows], axis=0)
-    if isinstance(column, np.ndarray):
-        _finite(column)
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        _checked(name, column)
         return len(column), lambda rows: _table(column[rows])
     table = _text_cells([format_value(cell) for cell in column])
     return len(table), table.__getitem__
+
+
+def _block_matrix(columns: list, rows: slice) -> np.ndarray:
+    """A block's byte matrix: each row's cells, "," between them, "\n" last."""
+    cells = [block(rows) for _, block in columns]
+    separators = np.broadcast_to(_SEPARATORS, (len(cells[0]), 2))
+    parts = [part for cell in cells for part in (cell, separators[:, :1])]
+    parts[-1] = separators[:, 1:]
+    return np.hstack(parts)
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]):
@@ -272,7 +301,7 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]):
     """
     if len(columns) != len(header):
         raise DomainError(f"CSV has {len(header)} header names but {len(columns)} columns")
-    columns = [_column(column) for column in columns]
+    columns = [_column(name, column) for name, column in zip(header, columns)]
     lengths = {n for n, _ in columns}
     if len(lengths) > 1:
         raise DomainError(f"CSV columns differ in length: {sorted(lengths)}")
@@ -280,9 +309,7 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]):
     with open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode())
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            cells = [block(slice(lo, lo + _BLOCK_ROWS)) for _, block in columns]
-            # the block's byte matrix: each row's cells, "," between them, "\n" last
-            separators = np.broadcast_to(_SEPARATORS, (len(cells[0]), 2))
-            parts = [part for cell in cells for part in (cell, separators[:, :1])]
-            parts[-1] = separators[:, 1:]
-            out.write(np.hstack(parts).tobytes().translate(None, b"\xff"))
+            # one form of the block at a time: the cells die with _block_matrix's
+            # frame, the matrix once its bytes are made, and they once translated
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            out.write(_block_matrix(columns, rows).tobytes().translate(None, b"\xff"))

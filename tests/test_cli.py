@@ -16,7 +16,7 @@ from paradoxlab import cli, rng, zeno
 from paradoxlab.cli import DEFAULT_SEED, main, parse_config, run
 from paradoxlab.errors import ConfigError
 from paradoxlab.rng import SeededStream
-from paradoxlab.serialize import dumps
+from paradoxlab.serialize import dumps, write_csv
 
 
 def read_json(path):
@@ -330,21 +330,22 @@ class TestCsvContract:
         assert len(shapes) > 1
         assert all(n * -(-draws // 4) <= rng._TILE_BLOCKS for n, draws in shapes)
 
-    def test_lightcone_region_memory_bounded_by_its_columns(self):
-        # 787 x 1,349 = 1,061,663 cells.  The CSV columns take 9 bytes a cell
-        # (int32 indexes into the t and x axes, and the region's bool grid
-        # viewed as int8); the region may add up to four bool grids.
-        # Measured: 9.0 bytes a cell; repeating t and x as float64 columns
-        # peaked at 18.0, and evaluating the region on them at 35.0.
+    def test_lightcone_region_memory_bounded_by_its_columns(self, tmp_path):
+        # 787 x 1,349 = 1,061,663 cells.  The CSV columns take 5 bytes a cell
+        # (uint16 indexes into the t and x axes, and the region's bool grid
+        # viewed as int8); the region's evaluation holds at most four bool
+        # grids, and the write one block of rows.  Measured: 5 bytes a cell
+        # plus 0.71 MiB; int32 indexes took 9 bytes a cell plus 1.0 MiB.
         cfg = parse_config(["experiment=lightcone", "grid_step=0.0089"])
         n_t, n_x = cli._lightcone_grid(cfg.params)
         tracemalloc.start()
         try:
-            cli._run_lightcone(cfg)
+            _, [(name, header, columns)] = cli._run_lightcone(cfg)
+            write_csv(tmp_path / name, header, columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (9 + 4) * n_t * n_x
+        assert peak <= 5 * n_t * n_x + 2 * 2**20, peak / (n_t * n_x)
 
     def test_formats_filter(self, tmp_path):
         cfg = parse_config(

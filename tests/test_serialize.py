@@ -3,6 +3,7 @@
 import decimal
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -172,6 +173,22 @@ class TestExactKernel:
         assert float_cells(column) == [format_float(v) for v in column.tolist()]
         assert len(to_percent) <= 4, to_percent
 
+    @pytest.mark.parametrize("square", [False, True], ids=["T", "1/T**2"])
+    def test_a_full_block_traces_at_most_100_bytes_a_value(self, square):
+        # the 47-slot cell matrix and its used slots, the digits and the
+        # kernel's uint64 words, each dropped once dead: measured 82 and 87
+        # bytes a value; 138 when every array was kept to the end
+        column = np.geomspace(0.1, 100.0, serialize._BLOCK_ROWS)
+        if square:
+            column = 1.0 / column**2
+        tracemalloc.start()
+        try:
+            serialize._float_cells(column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * len(column), peak / len(column)
+
 
 class TestTables:
     def test_mixed_column_kinds(self, tmp_path):
@@ -264,6 +281,35 @@ class TestTables:
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1]])
         with pytest.raises(DomainError, match="header"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([1 + 2j]),
+            np.array([b"x"]),
+            np.array(["2020-01-01"], "datetime64[D]"),
+        ],
+        ids=lambda bad: str(bad.dtype),
+    )
+    def test_unwritable_dtype_rejected_before_the_file_exists(self, tmp_path, bad):
+        path = tmp_path / "t.csv"
+        with pytest.raises(DomainError, match=re.escape(f"CSV column 'b' of dtype {bad.dtype}")):
+            write_csv(path, ["a", "b"], [np.arange(1.0), bad])
+        with pytest.raises(DomainError, match="CSV column 'v'"):
+            write_csv(path, ["v"], [(bad, np.zeros(1, np.int32))])
+        assert not path.exists()
+
+    def test_object_array_cells_formatted_before_the_file_exists(self, tmp_path):
+        scalars = np.array([1, "a", 0.5, None], dtype=object)
+        assert written(tmp_path, ["v"], [scalars]) == "v\n1\na\n0.5\nnull\n"
+        assert written(tmp_path, ["v"], [(scalars, np.array([3, 0]))]) == "v\nnull\n1\n"
+        path = tmp_path / "late.csv"
+        late = np.array([1, 2j], dtype=object)
+        for column in (late, (late, np.zeros(1, np.int32))):
+            with pytest.raises(DomainError, match="complex"):
+                write_csv(path, ["v"], [column])
+        assert not path.exists()
 
 
 class TestBlocks:
@@ -318,9 +364,10 @@ class TestBlocks:
 
         small, large = peak(100_000), peak(1_000_000)
         # both sizes hold one block's cell matrices, text and kernel scratch:
-        # 1.22 MiB traced at either size with 6144-row blocks of byte matrices,
-        # 1.36 MiB when the cells were Python strings; a cost per cell would
-        # add tens of MB at the larger size
+        # 0.63 MiB traced at either size with 6144-row blocks of byte matrices,
+        # 1.21 MiB while the kernel kept its dead arrays and a block held its
+        # cells, matrix and text at once; a cost per cell would add tens of MB
+        # at the larger size
         assert small <= 2 * 2**20, small
         assert large <= small + 256 * 1024, (small, large)
 
