@@ -1,8 +1,13 @@
 """Deterministic JSON/CSV emission.
 
 Floats are rendered as decimals with up to 17 significant digits, which
-round-trips every finite double exactly; keys are sorted; CSV uses LF line
-endings.  Identical records therefore serialize to identical bytes.
+round-trips every finite double exactly; keys are sorted; JSON and CSV use LF
+line endings.  Identical records therefore serialize to identical bytes.
+
+JSON is rendered in full as a list of pieces, which ``write_json`` writes one
+after another: no nested level is copied into its parent's text, and a bad
+value raises before the file is opened.  A list of plain ints takes one piece
+per ``_BLOCK_ROWS`` counts, from one ``%`` call.
 
 CSV tables are passed as columns and written in blocks of ``_BLOCK_ROWS``
 rows.  A block is one uint8 matrix: each column's cells as rows of bytes
@@ -58,46 +63,67 @@ def format_value(value) -> str:
     return value if isinstance(value, str) else _scalar(value)
 
 
-def _render(value, indent: int) -> str:
-    """JSON text of ``value``, each nested level indented two more spaces."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise DomainError(f"JSON keys must be strings, got {key!r}")
-            items.append(f"{json.dumps(key)}: {_render(value[key], indent + 1)}")
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:  # long count lists: one string per block, not per count
-            sep, blocks = f",\n{'  ' * indent}  ", range(0, len(value), _BLOCK_ROWS)
-            items = [sep.join(map(str, value[lo : lo + _BLOCK_ROWS])) for lo in blocks]
-        else:
-            items = [_render(item, indent + 1) for item in value]
-        brackets = "[]"
-    else:
-        return _scalar(value)
+def _render(value, indent: int, pieces: list[str]):
+    """Append the JSON text of ``value`` to ``pieces``, each nested level
+    indented two more spaces; no level's text is copied into its parent's."""
+    if not isinstance(value, (dict, list, tuple)):
+        pieces.append(_scalar(value))
+        return
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        pieces.append(brackets)
+        return
     pad = "  " * indent
-    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+    sep = f",\n{pad}  "
+    pieces.append(brackets[0] + sep[1:])
+    if isinstance(value, dict):
+        bad = [key for key in value if not isinstance(key, str)]
+        if bad:
+            raise DomainError(f"JSON keys must be strings, got {bad[0]!r}")
+        for key in sorted(value):
+            pieces += (json.dumps(key), ": ")
+            _render(value[key], indent + 1, pieces)
+            pieces.append(sep)
+    elif set(map(type, value)) == {int}:  # count lists: one piece per block, from one %
+        for lo in range(0, len(value), _BLOCK_ROWS):
+            block = tuple(value[lo : lo + _BLOCK_ROWS])
+            pieces += (sep.join(["%d"] * len(block)) % block, sep)
+    else:
+        for item in value:
+            _render(item, indent + 1, pieces)
+            pieces.append(sep)
+    pieces[-1] = f"\n{pad}{brackets[1]}"
+
+
+def _pieces(record: dict) -> list[str]:
+    """The text of ``dumps(record)`` as a list of pieces."""
+    pieces: list[str] = []
+    _render(record, 0, pieces)
+    pieces.append("\n")
+    return pieces
 
 
 def dumps(record: dict) -> str:
-    return _render(record, 0) + "\n"
+    return "".join(_pieces(record))
 
 
 def write_json(path: Path, record: dict):
-    path.write_text(dumps(record), encoding="utf-8")
+    """Write ``dumps(record)`` as UTF-8 bytes, so its LF endings stay LF on
+    every platform; the text is rendered in full first, so a bad value raises
+    before the file is opened."""
+    pieces = _pieces(record)
+    with open(path, "wb") as out:
+        out.writelines(piece.encode() for piece in pieces)
 
 
 # Rows per block, which bound a write's cell matrices and text, the JSON
-# int-list joins and the kernel's cells and scratch (82 to 87 bytes per
-# value): two columns of 100,000 distinct doubles trace 0.43, 0.63 and 0.83
-# MiB at 4096, 6144 and 8192 rows.  No block formats an indexed axis again, so
-# the size barely moves the cap: lightcone grid_step=0.0042 takes 0.40-0.80 s
-# (2-vCPU Xeon, numpy 2.4), against 1.51-1.63 s when every block re-formatted x.
+# int-list pieces (a 2**17-count list writes at 1.06x its text, against 3.0x
+# when its whole text was copied) and the kernel's cells and scratch (82 to
+# 87 bytes per value): two columns of 100,000 distinct doubles trace 0.43,
+# 0.63 and 0.83 MiB at 4096, 6144 and 8192 rows.  No block formats an indexed
+# axis again, so the size barely moves the cap: lightcone grid_step=0.0042
+# takes 0.40-0.80 s (2-vCPU Xeon, numpy 2.4), against 1.51-1.63 s when every
+# block re-formatted x.
 _BLOCK_ROWS = 6144
 _U = np.uint64
 
